@@ -14,8 +14,9 @@
 #   scripts/check.sh --tsan   # Debug + ThreadSanitizer + -Werror, the
 #                             # threading suites (batch determinism, kernel
 #                             # fuzz, batch, service soak, tiered
-#                             # snapshot/parallel build, sharded
-#                             # scatter-gather, network faults) only
+#                             # snapshot/parallel build, shared-tier
+#                             # block scans, sharded scatter-gather,
+#                             # network faults) only
 #
 # Extra arguments after the mode are forwarded to ctest.
 set -euo pipefail
@@ -45,11 +46,12 @@ case "${1:-}" in
     BUILD_DIR=build-tsan
     CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Debug -DFACTORHD_TSAN=ON -DFACTORHD_WERROR=ON)
     # The suites that exercise the worker pools (BatchFactorizer, the
-    # parallel plane scans, the parallel tier build, the sharded
+    # parallel plane scans, the parallel tier build, concurrent block
+    # scans of one shared tier, the sharded
     # scatter-gather, the serving engine, the wait-free metrics/trace
     # plumbing, and the network front end's event loop + admission queue
     # over real sockets); everything else is single-threaded.
-    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|ModelSnapshot|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults')
+    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|TieredBlockConcurrency|ModelSnapshot|AdaptiveNprobe|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults')
     ;;
 esac
 CTEST_ARGS+=("$@")

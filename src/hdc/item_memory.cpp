@@ -243,15 +243,16 @@ std::vector<Match> ItemMemory::best_block(std::span<const Hypervector> queries,
                                           std::uint64_t* scanned,
                                           std::uint64_t* probes) const {
   if (queries.empty()) return {};
-  // The one-pass blocked kernels need the packed planes, exact
-  // full-codebook semantics, and a packable alphabet for every query.
-  // Everything else takes the per-query path below — bit-identical by the
-  // kernels' contract, so this routing never changes a result. A sharded
-  // memory runs the blocked kernels per shard (scatter-gather) under the
-  // same exactness gate, per-shard tiers standing in for the single tier.
-  const bool blocked_ok =
-      sharded_ ? (!sharded_->tiered_shards() || mode == ScanMode::kExact)
-               : (!tiered_ || mode == ScanMode::kExact);
+  // The blocked kernels need the packed planes and a packable alphabet for
+  // every query. Exact scans (no tier index, or `mode` is kExact) run in
+  // one pass over the codebook planes; tiered default scans run the tier's
+  // bucket-major best_block. Everything else takes the per-query path
+  // below — bit-identical by the kernels' contract, so this routing never
+  // changes a result. A sharded memory runs the blocked kernels per shard
+  // (scatter-gather) only when its scans are exact; per-shard tiers in
+  // default mode stay per query.
+  const bool blocked_ok = !sharded_ || !sharded_->tiered_shards() ||
+                          mode == ScanMode::kExact;
   if (packed_ && blocked_ok) {
     std::vector<PackedQuery> packed;
     packed.reserve(queries.size());
@@ -261,6 +262,19 @@ std::vector<Match> ItemMemory::best_block(std::span<const Hypervector> queries,
       packed.push_back(std::move(*q));
     }
     if (packed.size() == queries.size()) {
+      if (tiered_ && mode == ScanMode::kDefault) {
+        std::vector<TieredItemMemory::ScanStats> stats(queries.size());
+        std::vector<Match> out = tiered_->best_block(packed, stats.data());
+        std::uint64_t total = 0;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          const std::uint64_t n = stats[q].centroid_dots + stats[q].row_dots;
+          total += n;
+          if (scanned != nullptr) scanned[q] = n;
+          if (probes != nullptr) probes[q] = stats[q].probes;
+        }
+        count(total);
+        return out;
+      }
       count(queries.size() * packed_->size());
       if (scanned != nullptr) {
         std::fill_n(scanned, queries.size(), packed_->size());

@@ -30,7 +30,9 @@
 // never mis-rank the rows they scan; per call, ScanMode::kExact forces the
 // exact packed path (the Factorizer's stall fallback), and the
 // index-restricted scans (best_among / above_among) and dots are always
-// exact.
+// exact. Query blocks (best_block) take a blocked route on both: one pass
+// over the codebook planes for exact scans, the tier's bucket-major
+// TieredItemMemory::best_block for tiered default scans.
 #pragma once
 
 #include <atomic>
@@ -202,14 +204,18 @@ class ItemMemory {
 
   /// Blocked variant of best(): one Match per query, in input order, each
   /// bit-identical (index, similarity, tie order — and the per-query
-  /// measurement count) to the matching best(query, mode) call. When the
-  /// codebook is packed, the scan is an exact full scan (no tier index, or
-  /// `mode` is ScanMode::kExact), and every query's alphabet packs, the
-  /// whole block runs in ONE pass over the codebook planes through
-  /// kernels::QueryBlockKernels — the codebook streams from memory once per
-  /// block instead of once per query. Any other shape (tiered default scans,
-  /// integer-bundle queries, scalar backend) falls back to per-query best(),
-  /// so routing here is purely a performance decision.
+  /// measurement and probe counts) to the matching best(query, mode) call.
+  /// When the codebook is packed and every query's alphabet packs, the
+  /// block takes a blocked route: an exact full scan (no tier index, or
+  /// `mode` is ScanMode::kExact) runs in ONE pass over the codebook planes
+  /// through kernels::QueryBlockKernels, and a tiered default scan runs
+  /// kernels::TieredItemMemory::best_block — one blocked centroid pass,
+  /// then each probed bucket streamed once for all queries that chose it.
+  /// Either way the planes stream from memory once per block instead of
+  /// once per query. Any other shape (integer-bundle queries, the scalar
+  /// backend, sharded memories with tiered shards in default mode) falls
+  /// back to per-query best(), so routing here is purely a performance
+  /// decision.
   /// \param queries Query HVs of the codebook's dimension.
   /// \param mode Per-call accuracy override (tiered backend only).
   /// \param scanned When non-null, must point at queries.size() entries;

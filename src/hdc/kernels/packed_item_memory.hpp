@@ -224,17 +224,7 @@ class PackedItemMemory {
   void dots_block(std::span<const PackedQuery> queries,
                   std::span<std::int64_t> out) const;
 
-  // --- Per-row primitives (the TieredItemMemory candidate-scan surface) ---
-
-  /// Exact integer dot of codebook row `row` with the packed query — the
-  /// same kernel dispatch the full scans use, exposed so the tiered index
-  /// can scan sparse candidate lists without materializing index vectors.
-  /// Preconditions (unchecked, noexcept hot path): `row < size()` and
-  /// `query.dim == dim()`.
-  [[nodiscard]] std::int64_t dot_row(std::size_t row,
-                                     const PackedQuery& query) const noexcept {
-    return row_dot(row, query);
-  }
+  // --- Plane views (the TieredItemMemory build and snapshot surface) -----
 
   /// Read-only view of row `row`'s sign plane: words_per_row() words with
   /// the canonical-tail invariant. Precondition: `row < size()`.

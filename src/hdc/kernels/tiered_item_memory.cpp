@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -157,6 +158,22 @@ TieredItemMemory::TieredItemMemory(
             "the rows");
       }
       seen[row] = true;
+    }
+  }
+  order_planes();
+}
+
+void TieredItemMemory::order_planes() {
+  const std::size_t words = rows_->words_per_row();
+  const std::size_t m = member_rows_.size();
+  const bool ternary = rows_->layout() == PackedItemMemory::Layout::kTernary;
+  bucket_sign_.resize(m * words);
+  bucket_nonzero_.resize(ternary ? m * words : 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t row = member_rows_[i];
+    std::ranges::copy(rows_->row_sign(row), &bucket_sign_[i * words]);
+    if (ternary) {
+      std::ranges::copy(rows_->row_nonzero(row), &bucket_nonzero_[i * words]);
     }
   }
 }
@@ -428,14 +445,11 @@ void TieredItemMemory::build(const TieredConfig& config) {
   centroids_ = std::make_shared<const PackedItemMemory>(
       PackedItemMemory::Layout::kBipolar, dim, k, plane_copy->data(), nullptr,
       plane_copy, rows_->simd_level());
+  order_planes();
 }
 
-std::vector<std::size_t> TieredItemMemory::probe(const PackedQuery& query,
-                                                 ScanStats* stats) const {
-  const std::size_t k = centroids_->size();
-  const std::size_t want = adaptive() ? nprobe_max_ : nprobe_;
-  const std::vector<Match> top = centroids_->top_k(query, want);
-  if (stats != nullptr) stats->centroid_dots += k;
+std::size_t TieredItemMemory::probe_count(
+    std::span<const Match> top) const noexcept {
   std::size_t take = top.size();
   if (adaptive() && take > nprobe_min_) {
     // Margin rule: keep every centroid whose score trails the winner by at
@@ -449,11 +463,64 @@ std::vector<std::size_t> TieredItemMemory::probe(const PackedQuery& query,
     take = nprobe_min_;
     while (take < top.size() && top[take].similarity >= cut) ++take;
   }
-  if (stats != nullptr) stats->probes += take;
+  return take;
+}
+
+std::vector<std::size_t> TieredItemMemory::probe(const PackedQuery& query,
+                                                 ScanStats* stats) const {
+  const std::vector<Match> top =
+      centroids_->top_k(query, adaptive() ? nprobe_max_ : nprobe_);
+  const std::size_t take = probe_count(top);
+  if (stats != nullptr) {
+    stats->centroid_dots += centroids_->size();
+    stats->probes += take;
+  }
   std::vector<std::size_t> buckets;
   buckets.reserve(take);
   for (std::size_t i = 0; i < take; ++i) buckets.push_back(top[i].index);
   return buckets;
+}
+
+void TieredItemMemory::range_dots(const PackedQuery& query, std::size_t begin,
+                                  std::size_t end,
+                                  std::int64_t* out) const noexcept {
+  const std::size_t words = rows_->words_per_row();
+  const std::size_t count = end - begin;
+  const std::uint64_t* sign = bucket_sign_.data() + begin * words;
+  if (rows_->layout() == PackedItemMemory::Layout::kBipolar) {
+    const BatchDotKernels& batch = batch_dot_kernels(simd_level());
+    if (query.bipolar) {
+      batch.bipolar_rows(query.sign.data(), sign, count, words, dim(), out);
+    } else {
+      batch.ternary_rows(query.nonzero.data(), query.sign.data(), sign, count,
+                         words, out);
+    }
+    return;
+  }
+  // Ternary rows have no batched kernel; the per-row kernels still stream
+  // the contiguous range, in the operand order PackedItemMemory::row_dot
+  // uses.
+  const DotKernels& k = dot_kernels(simd_level());
+  const std::uint64_t* nz = bucket_nonzero_.data() + begin * words;
+  for (std::size_t i = 0; i < count; ++i, sign += words, nz += words) {
+    out[i] = query.bipolar
+                 ? k.bipolar_ternary(query.sign.data(), nz, sign, words)
+                 : k.ternary_ternary(nz, sign, query.nonzero.data(),
+                                     query.sign.data(), words);
+  }
+}
+
+std::vector<std::int64_t> TieredItemMemory::probed_dots(
+    const PackedQuery& query, std::span<const std::size_t> buckets) const {
+  std::size_t total = 0;
+  for (const std::size_t c : buckets) total += cluster_size(c);
+  std::vector<std::int64_t> dots(total);
+  std::int64_t* out = dots.data();
+  for (const std::size_t c : buckets) {
+    range_dots(query, cluster_begin_[c], cluster_begin_[c + 1], out);
+    out += cluster_size(c);
+  }
+  return dots;
 }
 
 namespace {
@@ -464,41 +531,174 @@ void require_dim(const PackedQuery& query, std::size_t dim) {
   }
 }
 
+// Rows per stage-2 chunk of best_block(): bounds the dots scratch to
+// queries * 2 KiB, as PackedItemMemory's blocked scans do.
+constexpr std::size_t kBlockChunkRows = 256;
+
+// Canonical argmax step over rows that arrive in bucket order, not row
+// order: a dot tie goes to the lowest original row index, exactly the
+// scalar scan's first-maximum rule, whatever order the buckets come in.
+// INT64_MIN is below every dot, so the first candidate always wins.
+void fold_best(std::int64_t d, std::size_t row, std::int64_t& best_dot,
+               std::size_t& best_row) noexcept {
+  if (d > best_dot || (d == best_dot && row < best_row)) {
+    best_dot = d;
+    best_row = row;
+  }
+}
+
 }  // namespace
 
 Match TieredItemMemory::best(const PackedQuery& query,
                              ScanStats* stats) const {
   require_dim(query, dim());
   const std::vector<std::size_t> buckets = probe(query, stats);
-  bool found = false;
-  std::int64_t best_dot = 0;
-  std::size_t best_row = 0;
-  std::uint64_t visited = 0;
-  for (const std::size_t c : buckets) {
-    for (std::size_t i = cluster_begin_[c]; i < cluster_begin_[c + 1]; ++i) {
-      const std::size_t row = member_rows_[i];
-      const std::int64_t d = rows_->dot_row(row, query);
-      ++visited;
-      // Canonical argmax: buckets arrive in similarity order, not row
-      // order, so break dot ties toward the lowest row index explicitly —
-      // exactly the scalar scan's first-maximum rule.
-      if (!found || d > best_dot || (d == best_dot && row < best_row)) {
-        found = true;
-        best_dot = d;
-        best_row = row;
-      }
-    }
-  }
-  if (stats != nullptr) stats->row_dots += visited;
-  if (!found) {
+  const std::vector<std::int64_t> dots = probed_dots(query, buckets);
+  if (stats != nullptr) stats->row_dots += dots.size();
+  if (dots.empty()) {
     // Every probed bucket was empty (possible only under degenerate
     // clusterings with nprobe < clusters). Fall back to the exact scan
     // rather than inventing an answer.
     if (stats != nullptr) stats->row_dots += rows_->size();
     return rows_->best(query);
   }
+  std::int64_t best_dot = INT64_MIN;
+  std::size_t best_row = 0;
+  const std::int64_t* d = dots.data();
+  for (const std::size_t c : buckets) {
+    for (std::size_t i = cluster_begin_[c]; i < cluster_begin_[c + 1]; ++i) {
+      fold_best(*d++, member_rows_[i], best_dot, best_row);
+    }
+  }
   return {best_row,
           static_cast<double>(best_dot) / static_cast<double>(dim())};
+}
+
+std::vector<Match> TieredItemMemory::best_block(
+    std::span<const PackedQuery> queries, ScanStats* stats) const {
+  for (const PackedQuery& q : queries) require_dim(q, dim());
+  const std::size_t nq = queries.size();
+  std::vector<Match> out(nq);
+  if (nq == 0) return out;
+  const std::size_t k = clusters();
+
+  // Stage 1: every query's centroid ranking in one blocked pass (identical
+  // to the per-query top_k), cut to its probe prefix, then inverted into a
+  // CSR of the queries probing each bucket, ascending query index.
+  const std::vector<std::vector<Match>> tops =
+      centroids_->top_k_block(queries, adaptive() ? nprobe_max_ : nprobe_);
+  std::vector<std::size_t> take(nq);
+  std::vector<std::size_t> prober_begin(k + 1, 0);
+  for (std::size_t q = 0; q < nq; ++q) {
+    take[q] = probe_count(tops[q]);
+    for (std::size_t i = 0; i < take[q]; ++i) {
+      ++prober_begin[tops[q][i].index + 1];
+    }
+  }
+  for (std::size_t c = 0; c < k; ++c) prober_begin[c + 1] += prober_begin[c];
+  std::vector<std::size_t> probers(prober_begin[k]);
+  {
+    std::vector<std::size_t> cursor(prober_begin.begin(),
+                                    prober_begin.end() - 1);
+    for (std::size_t q = 0; q < nq; ++q) {
+      for (std::size_t i = 0; i < take[q]; ++i) {
+        probers[cursor[tops[q][i].index]++] = q;
+      }
+    }
+  }
+
+  // Stage 2, bucket-major: each probed bucket's contiguous rows stream
+  // once, in row chunks, against the queries that chose it — grouped by
+  // alphabet (bipolar slots first) for the QueryBlockKernels, or per query
+  // on ternary-layout rows — and every dot folds into its query's argmax.
+  const bool bipolar_rows =
+      rows_->layout() == PackedItemMemory::Layout::kBipolar;
+  const QueryBlockKernels& kernels = query_block_kernels(simd_level());
+  const std::size_t words = rows_->words_per_row();
+  std::vector<std::int64_t> best_dot(nq, INT64_MIN);
+  std::vector<std::size_t> best_row(nq, 0);
+  std::vector<std::uint64_t> visited(nq, 0);
+  std::vector<std::int64_t> scratch;
+  std::vector<const std::uint64_t*> bip_sg, ter_nz, ter_sg;
+  std::vector<std::size_t> slot_query;
+  for (std::size_t c = 0; c < k; ++c) {
+    const std::span<const std::size_t> who(
+        probers.data() + prober_begin[c], prober_begin[c + 1] - prober_begin[c]);
+    const std::size_t rows_in = cluster_size(c);
+    if (who.empty() || rows_in == 0) continue;
+    bip_sg.clear();
+    ter_nz.clear();
+    ter_sg.clear();
+    slot_query.clear();
+    for (const std::size_t q : who) {
+      visited[q] += rows_in;
+      if (queries[q].bipolar) {
+        bip_sg.push_back(queries[q].sign.data());
+        slot_query.push_back(q);
+      }
+    }
+    for (const std::size_t q : who) {
+      if (!queries[q].bipolar) {
+        ter_nz.push_back(queries[q].nonzero.data());
+        ter_sg.push_back(queries[q].sign.data());
+        slot_query.push_back(q);
+      }
+    }
+    const std::size_t slots = slot_query.size();
+    scratch.resize(std::max(scratch.size(),
+                            slots * std::min(rows_in, kBlockChunkRows)));
+    for (std::size_t begin = cluster_begin_[c]; begin < cluster_begin_[c + 1];
+         begin += kBlockChunkRows) {
+      const std::size_t end = std::min(cluster_begin_[c + 1],
+                                       begin + kBlockChunkRows);
+      const std::size_t count = end - begin;
+      if (bipolar_rows) {
+        const std::uint64_t* plane = bucket_sign_.data() + begin * words;
+        if (!bip_sg.empty()) {
+          kernels.bipolar_rows(bip_sg.data(), bip_sg.size(), plane, count,
+                               words, dim(), scratch.data());
+        }
+        if (!ter_nz.empty()) {
+          kernels.ternary_rows(ter_nz.data(), ter_sg.data(), ter_nz.size(),
+                               plane, count, words,
+                               scratch.data() + bip_sg.size() * count);
+        }
+      } else {
+        for (std::size_t t = 0; t < slots; ++t) {
+          range_dots(queries[slot_query[t]], begin, end,
+                     scratch.data() + t * count);
+        }
+      }
+      for (std::size_t t = 0; t < slots; ++t) {
+        const std::size_t q = slot_query[t];
+        const std::int64_t* d = scratch.data() + t * count;
+        std::int64_t bd = best_dot[q];
+        std::size_t br = best_row[q];
+        for (std::size_t i = 0; i < count; ++i) {
+          fold_best(d[i], member_rows_[begin + i], bd, br);
+        }
+        best_dot[q] = bd;
+        best_row[q] = br;
+      }
+    }
+  }
+
+  for (std::size_t q = 0; q < nq; ++q) {
+    if (stats != nullptr) {
+      stats[q].centroid_dots += k;
+      stats[q].probes += take[q];
+      stats[q].row_dots += visited[q];
+    }
+    if (visited[q] == 0) {
+      // Every probed bucket was empty: the same exact fallback as best().
+      if (stats != nullptr) stats[q].row_dots += rows_->size();
+      out[q] = rows_->best(queries[q]);
+      continue;
+    }
+    out[q] = {best_row[q],
+              static_cast<double>(best_dot[q]) / static_cast<double>(dim())};
+  }
+  return out;
 }
 
 std::vector<Match> TieredItemMemory::above(const PackedQuery& query,
@@ -506,24 +706,23 @@ std::vector<Match> TieredItemMemory::above(const PackedQuery& query,
                                            ScanStats* stats) const {
   require_dim(query, dim());
   const std::vector<std::size_t> buckets = probe(query, stats);
-  const auto d_dim = static_cast<double>(dim());
-  std::vector<Match> out;
-  std::uint64_t visited = 0;
-  for (const std::size_t c : buckets) {
-    for (std::size_t i = cluster_begin_[c]; i < cluster_begin_[c + 1]; ++i) {
-      const std::size_t row = member_rows_[i];
-      const double s = static_cast<double>(rows_->dot_row(row, query)) / d_dim;
-      ++visited;
-      if (s > threshold) out.push_back({row, s});
-    }
-  }
-  if (stats != nullptr) stats->row_dots += visited;
-  if (visited == 0) {
+  const std::vector<std::int64_t> dots = probed_dots(query, buckets);
+  if (stats != nullptr) stats->row_dots += dots.size();
+  if (dots.empty()) {
     // Every probed bucket was empty — the same degenerate clustering best()
     // guards against. An empty result here would be indistinguishable from
     // "nothing above threshold", so fall back to the exact scan.
     if (stats != nullptr) stats->row_dots += rows_->size();
     return rows_->above(query, threshold);
+  }
+  const auto d_dim = static_cast<double>(dim());
+  std::vector<Match> out;
+  const std::int64_t* d = dots.data();
+  for (const std::size_t c : buckets) {
+    for (std::size_t i = cluster_begin_[c]; i < cluster_begin_[c + 1]; ++i) {
+      const double s = static_cast<double>(*d++) / d_dim;
+      if (s > threshold) out.push_back({member_rows_[i], s});
+    }
   }
   std::sort(out.begin(), out.end(), match_order);
   return out;
@@ -538,22 +737,23 @@ std::vector<Match> TieredItemMemory::top_k(const PackedQuery& query,
   // would charge a full-memory scan for an empty answer.
   if (k == 0) return {};
   const std::vector<std::size_t> buckets = probe(query, stats);
-  const auto d_dim = static_cast<double>(dim());
-  std::vector<Match> all;
-  for (const std::size_t c : buckets) {
-    for (std::size_t i = cluster_begin_[c]; i < cluster_begin_[c + 1]; ++i) {
-      const std::size_t row = member_rows_[i];
-      all.push_back(
-          {row, static_cast<double>(rows_->dot_row(row, query)) / d_dim});
-    }
-  }
-  if (stats != nullptr) stats->row_dots += all.size();
-  if (all.empty()) {
+  const std::vector<std::int64_t> dots = probed_dots(query, buckets);
+  if (stats != nullptr) stats->row_dots += dots.size();
+  if (dots.empty()) {
     // Empty probed buckets (degenerate clustering): a short/empty result
     // would silently underfill k, so fall back to the exact scan like
     // best() does.
     if (stats != nullptr) stats->row_dots += rows_->size();
     return rows_->top_k(query, k);
+  }
+  const auto d_dim = static_cast<double>(dim());
+  std::vector<Match> all;
+  all.reserve(dots.size());
+  const std::int64_t* d = dots.data();
+  for (const std::size_t c : buckets) {
+    for (std::size_t i = cluster_begin_[c]; i < cluster_begin_[c + 1]; ++i) {
+      all.push_back({member_rows_[i], static_cast<double>(*d++) / d_dim});
+    }
   }
   const std::size_t keep = std::min(k, all.size());
   std::partial_sort(all.begin(),

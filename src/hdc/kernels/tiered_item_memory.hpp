@@ -15,6 +15,16 @@
 //           (3) run the exact packed scan only over the surviving buckets'
 //               rows (every row lives in exactly one bucket).
 //
+// Stage 2 streams instead of gathering: at construction (and at snapshot
+// adoption) the index copies the row planes into bucket order, so every
+// bucket is one contiguous plane range scanned with the batched kernels.
+// The copy costs one more M x D/8 bytes (twice that for ternary rows); the
+// shared row memory stays in original order for the exact scans and the
+// snapshot writer, so the FTS1 format is unchanged. best_block() inverts
+// the loop for a batch: one blocked centroid pass, then each probed bucket
+// streams once through the QueryBlockKernels against every query that
+// chose it.
+//
 // With the auto configuration (K ≈ 4·sqrt(M), nprobe = K/16) a query costs
 // ~K + M/16 dot products instead of M — an O(sqrt(M))-flavoured coarse pass
 // plus a small exact pass — at recall@1 ≥ 0.99 on noisy cleanup queries
@@ -199,8 +209,10 @@ class TieredItemMemory {
   [[nodiscard]] SimdLevel simd_level() const noexcept {
     return rows_->simd_level();
   }
-  /// \return The exact packed row memory stage 2 scans (and the exact-
-  ///   fallback surface: every PackedItemMemory query works on it).
+  /// \return The exact packed row memory in original row order — the
+  ///   exact-fallback surface (every PackedItemMemory query works on it)
+  ///   and what the snapshot writer serializes. Stage 2 scans a
+  ///   bucket-ordered copy of its planes.
   [[nodiscard]] const PackedItemMemory& rows() const noexcept {
     return *rows_;
   }
@@ -245,6 +257,17 @@ class TieredItemMemory {
   /// Argmax over the probed buckets' rows; lowest index wins ties.
   [[nodiscard]] Match best(const PackedQuery& query,
                            ScanStats* stats = nullptr) const;
+  /// best() for every query of the block, bucket-major: stage 1 scans the
+  /// centroids for all queries in one blocked pass, then each probed bucket
+  /// streams once through the QueryBlockKernels against the queries that
+  /// chose it. Results, the empty-bucket exact fallback, and the per-query
+  /// accounting are bit-identical to calling best() per query.
+  /// \param queries Packed queries; each must match dim().
+  /// \param stats When non-null, must point at queries.size() entries;
+  ///   stats[q] accumulates query q's cost exactly as best() would.
+  /// \return One Match per query, in query order.
+  [[nodiscard]] std::vector<Match> best_block(
+      std::span<const PackedQuery> queries, ScanStats* stats = nullptr) const;
   /// Matches above `threshold` among the probed buckets' rows, sorted by
   /// hdc::match_order.
   [[nodiscard]] std::vector<Match> above(const PackedQuery& query,
@@ -298,9 +321,24 @@ class TieredItemMemory {
       std::size_t prefix_words, std::size_t keep,
       std::span<std::int64_t> prefix_dot,
       std::span<std::uint32_t> hist) const noexcept;
+  /// Copies the row planes into bucket order (bucket_sign_/_nonzero_).
+  void order_planes();
+  /// How many of the match_order-sorted centroid scores `top` to probe: all
+  /// of them on fixed-probe indexes, the margin-rule prefix on adaptive ones.
+  [[nodiscard]] std::size_t probe_count(
+      std::span<const Match> top) const noexcept;
   /// The probed buckets for `query`: indices of the top-nprobe centroids.
   [[nodiscard]] std::vector<std::size_t> probe(const PackedQuery& query,
                                                ScanStats* stats) const;
+  /// Exact dots of `query` with bucket-ordered rows [begin, end) into
+  /// out[0 .. end - begin) — the same integers the row memory's scans
+  /// compute for those rows.
+  void range_dots(const PackedQuery& query, std::size_t begin,
+                  std::size_t end, std::int64_t* out) const noexcept;
+  /// Exact dots of `query` with every row of `buckets`, bucket by bucket in
+  /// the given order, members in cluster-list order.
+  [[nodiscard]] std::vector<std::int64_t> probed_dots(
+      const PackedQuery& query, std::span<const std::size_t> buckets) const;
   [[nodiscard]] PackedQuery pack_query(const Hypervector& query) const;
 
   std::shared_ptr<const PackedItemMemory> rows_;
@@ -316,6 +354,11 @@ class TieredItemMemory {
   /// cluster_begin_[c] .. cluster_begin_[c+1]), ascending within a bucket.
   std::vector<std::size_t> member_rows_;
   std::vector<std::size_t> cluster_begin_;
+  /// Row planes in bucket order: ordered row i is original row
+  /// member_rows_[i], so bucket c is the contiguous range [cluster_begin_[c],
+  /// cluster_begin_[c+1]). The nonzero copy is empty in bipolar layout.
+  std::vector<std::uint64_t> bucket_sign_;
+  std::vector<std::uint64_t> bucket_nonzero_;
 };
 
 }  // namespace factorhd::hdc::kernels

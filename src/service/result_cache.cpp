@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "hdc/hash.hpp"
+#include "hdc/kernels/plane.hpp"
 
 namespace factorhd::service {
 
@@ -30,6 +31,25 @@ std::uint64_t fingerprint_options(
 std::uint64_t request_key(const hdc::Hypervector& target,
                           const core::FactorizeOptions& opts) noexcept {
   return hdc::hash_hypervector(target, fingerprint_options(opts));
+}
+
+ResultCache::TargetKey ResultCache::TargetKey::of(
+    const hdc::Hypervector& target) {
+  TargetKey key;
+  key.dim = target.dim();
+  if (auto planes = hdc::kernels::PackedQuery::pack(target)) {
+    key.alphabet = planes->bipolar ? Alphabet::kBipolar : Alphabet::kTernary;
+    key.words = std::move(planes->sign);
+    key.words.insert(key.words.end(), planes->nonzero.begin(),
+                     planes->nonzero.end());
+    return key;
+  }
+  key.words.assign((key.dim + 1) / 2, 0);
+  for (std::size_t i = 0; i < key.dim; ++i) {
+    key.words[i / 2] |= std::uint64_t{static_cast<std::uint32_t>(target[i])}
+                        << (32 * (i % 2));
+  }
+  return key;
 }
 
 ResultCache::ResultCache(std::size_t capacity, std::size_t shards) {
@@ -61,13 +81,14 @@ std::optional<core::FactorizeResult> ResultCache::lookup(
     std::uint64_t key, const hdc::Hypervector& target,
     const core::FactorizeOptions& opts) {
   if (!enabled()) return std::nullopt;
+  const TargetKey exact = TargetKey::of(target);  // outside the shard lock
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.index.find(key);
   if (it == s.index.end()) return std::nullopt;
   const Entry& e = *it->second;
   // A fingerprint match is not an identity match: verify before serving.
-  if (e.target != target || !(e.opts == opts)) return std::nullopt;
+  if (e.target != exact || !(e.opts == opts)) return std::nullopt;
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
   return e.result;
 }
@@ -76,11 +97,12 @@ void ResultCache::insert(std::uint64_t key, const hdc::Hypervector& target,
                          const core::FactorizeOptions& opts,
                          core::FactorizeResult result) {
   if (!enabled()) return;
+  TargetKey exact = TargetKey::of(target);
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mu);
   if (const auto it = s.index.find(key); it != s.index.end()) {
     // Refresh (or, on a true collision, overwrite) in place.
-    it->second->target = target;
+    it->second->target = std::move(exact);
     it->second->opts = opts;
     it->second->result = std::move(result);
     s.lru.splice(s.lru.begin(), s.lru, it->second);
@@ -90,7 +112,7 @@ void ResultCache::insert(std::uint64_t key, const hdc::Hypervector& target,
     s.index.erase(s.lru.back().key);
     s.lru.pop_back();
   }
-  s.lru.push_front(Entry{key, target, opts, std::move(result)});
+  s.lru.push_front(Entry{key, std::move(exact), opts, std::move(result)});
   s.index.emplace(key, s.lru.begin());
 }
 

@@ -4,10 +4,12 @@
 // results of repeated requests can be replayed verbatim. The cache keys
 // entries by a 64-bit content fingerprint (hdc::hash_hypervector mixed with
 // an options fingerprint) and — because 64 bits is a fingerprint, not a
-// proof — stores the full target and options alongside the result and
-// verifies them on lookup, so a hash collision degrades to a miss, never to
-// a wrong answer. Bit-identical serving semantics are preserved
-// unconditionally.
+// proof — stores an exact encoding of the target plus the options alongside
+// the result and verifies them on lookup, so a hash collision degrades to a
+// miss, never to a wrong answer. Bit-identical serving semantics are
+// preserved unconditionally. The target encoding is compact: bit planes for
+// bipolar/ternary targets (D/8 or D/4 bytes instead of 4·D), raw int32
+// components only for integer bundles.
 //
 // Sharding: the key space is split across independently locked shards so
 // concurrent submit() fast paths contend only 1/shards of the time. Each
@@ -48,9 +50,10 @@ namespace factorhd::service {
 /// \par Contract (collision ⇒ miss)
 /// Keys are hdc::hash_hypervector fingerprints mixed with
 /// fingerprint_options — fingerprints, not proofs of equality. The cache
-/// therefore stores the full `(target, options)` pair with every entry
-/// and lookup() serves a result only after verifying both by exact
-/// equality (components and every option field). A fingerprint collision
+/// therefore stores the full `(target, options)` pair with every entry —
+/// the target as an exact, alphabet- and dimension-tagged encoding — and
+/// lookup() serves a result only after verifying both by exact equality
+/// (every component and every option field). A fingerprint collision
 /// consequently degrades to a cache *miss* (the request is recomputed),
 /// never to a wrong answer; insert() under a colliding key simply
 /// replaces the resident entry (the cache is best-effort storage —
@@ -100,9 +103,23 @@ class ResultCache {
   void clear();
 
  private:
+  /// Exact encoding of a target: its sign plane (bipolar), sign then
+  /// nonzero planes (ternary), or its int32 components two per word (any
+  /// other alphabet). The alphabet and dimension tags make equal keys mean
+  /// equal vectors: two encodings with the same words but different tags
+  /// never compare equal.
+  struct TargetKey {
+    enum class Alphabet : std::uint8_t { kBipolar, kTernary, kInteger };
+    Alphabet alphabet = Alphabet::kInteger;
+    std::size_t dim = 0;
+    std::vector<std::uint64_t> words;
+
+    [[nodiscard]] static TargetKey of(const hdc::Hypervector& target);
+    bool operator==(const TargetKey&) const = default;
+  };
   struct Entry {
     std::uint64_t key = 0;
-    hdc::Hypervector target;
+    TargetKey target;
     core::FactorizeOptions opts;
     core::FactorizeResult result;
   };

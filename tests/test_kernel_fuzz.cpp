@@ -18,11 +18,19 @@
 // axis: at every block size Q in {1, 2, 3, 8, 33, 64} the blocked result
 // must be bit-identical to Q independent single-query scans, on every SIMD
 // tier, including tie-heavy codebooks and blocks whose queries force the
-// per-query fallback (integer bundles, tiered default scans).
+// per-query fallback (integer bundles).
+//
+// The tiered index's bucket-contiguous stage 2 gets its own differential:
+// TieredItemMemory::best_block (bucket-major over a query block) must equal
+// per-query best() in result and accounting at every block size, tier,
+// probing mode and row layout, including degenerate clusterings with empty
+// buckets; and the contiguous best/above/top_k must equal the row-at-a-time
+// gather over the member lists they replaced (kept here as the oracle).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,6 +60,15 @@ const std::size_t kBoundaryDims[] = {63, 64, 65, 255, 256, 257};
 // tile, a straddle of the ternary kernel's 64-query support-hoist group
 // (33), and one full group (64).
 const std::size_t kBlockSizes[] = {1, 2, 3, 8, 33, 64};
+
+// Every SIMD tier this CPU can execute, scalar-word tier first.
+std::vector<SimdLevel> available_levels() {
+  std::vector<SimdLevel> levels{SimdLevel::kScalarWords};
+  for (SimdLevel l : {SimdLevel::kAVX2, SimdLevel::kAVX512, SimdLevel::kNEON}) {
+    if (kernels::simd_level_available(l)) levels.push_back(l);
+  }
+  return levels;
+}
 
 // Every packed backend this CPU can execute, scalar-word tier first.
 std::vector<ScanBackend> packed_backends() {
@@ -280,10 +297,7 @@ TEST(KernelFuzz, AllLevelsPackIdenticalPlanes) {
   // Query packing is part of the dispatch surface too: every tier must emit
   // byte-identical sign/nonzero planes and the same bipolar classification.
   Xoshiro256 rng(424242);
-  std::vector<SimdLevel> levels{SimdLevel::kScalarWords};
-  for (SimdLevel l : {SimdLevel::kAVX2, SimdLevel::kAVX512, SimdLevel::kNEON}) {
-    if (kernels::simd_level_available(l)) levels.push_back(l);
-  }
+  const std::vector<SimdLevel> levels = available_levels();
   for (std::size_t dim : {std::size_t{63}, std::size_t{64}, std::size_t{65},
                           std::size_t{255}, std::size_t{256}, std::size_t{257},
                           std::size_t{1000}}) {
@@ -322,10 +336,7 @@ TEST(KernelFuzz, TieredNprobeAllBitIdenticalOnEveryLevel) {
   using kernels::PackedItemMemory;
   using kernels::TieredConfig;
   using kernels::TieredItemMemory;
-  std::vector<SimdLevel> levels{SimdLevel::kScalarWords};
-  for (SimdLevel l : {SimdLevel::kAVX2, SimdLevel::kAVX512, SimdLevel::kNEON}) {
-    if (kernels::simd_level_available(l)) levels.push_back(l);
-  }
+  const std::vector<SimdLevel> levels = available_levels();
   Xoshiro256 rng(20260729);
   for (int round = 0; round < 24; ++round) {
     FuzzConfig cfg;
@@ -383,10 +394,7 @@ TEST(KernelFuzz, BlockedScansMatchPerQueryAtEveryBlockSize) {
   // through every surface (best_block / top_k_block / dots_block) — so block
   // size, like ScanBackend, is a pure performance knob.
   using kernels::PackedItemMemory;
-  std::vector<SimdLevel> levels{SimdLevel::kScalarWords};
-  for (SimdLevel l : {SimdLevel::kAVX2, SimdLevel::kAVX512, SimdLevel::kNEON}) {
-    if (kernels::simd_level_available(l)) levels.push_back(l);
-  }
+  const std::vector<SimdLevel> levels = available_levels();
   Xoshiro256 rng(20260806);
   std::size_t round = 0;
   for (std::size_t q : kBlockSizes) {
@@ -449,7 +457,7 @@ TEST(KernelFuzz, ItemMemoryBestBlockMatchesPerQueryOnEveryBackend) {
   // per-query best() — result AND deterministic measurement count — on every
   // backend and mode, including blocks that mix packable queries with the
   // integer bundle (forcing the per-query fallback mid-block) and tiered
-  // memories where the default mode never takes the blocked path at all.
+  // memories, whose default mode takes the tier's bucket-major block scan.
   Xoshiro256 rng(20260807);
   for (std::size_t q : kBlockSizes) {
     FuzzConfig cfg;
@@ -488,21 +496,293 @@ TEST(KernelFuzz, ItemMemoryBestBlockMatchesPerQueryOnEveryBackend) {
     for (const Case& c : cases) {
       SCOPED_TRACE(c.name);
       std::vector<std::uint64_t> scanned_block(q, ~std::uint64_t{0});
-      const std::vector<Match> got =
-          c.memory->best_block(block, c.mode, scanned_block.data());
+      std::vector<std::uint64_t> probes_block(q, ~std::uint64_t{0});
+      const std::vector<Match> got = c.memory->best_block(
+          block, c.mode, scanned_block.data(), probes_block.data());
       ASSERT_EQ(got.size(), q);
       for (std::size_t i = 0; i < q; ++i) {
         std::uint64_t scanned_one = ~std::uint64_t{0};
-        const Match ref = c.memory->best(block[i], c.mode, &scanned_one);
+        std::uint64_t probes_one = ~std::uint64_t{0};
+        const Match ref =
+            c.memory->best(block[i], c.mode, &scanned_one, &probes_one);
         EXPECT_EQ(ref.index, got[i].index) << "query " << i;
         EXPECT_EQ(ref.similarity, got[i].similarity) << "query " << i;
         EXPECT_EQ(scanned_one, scanned_block[i]) << "query " << i;
+        EXPECT_EQ(probes_one, probes_block[i]) << "query " << i;
       }
     }
     // The empty block is a no-op on every backend.
     EXPECT_TRUE(scalar.best_block({}).empty());
     EXPECT_TRUE(packed.best_block({}).empty());
     EXPECT_TRUE(tiered.best_block({}).empty());
+  }
+}
+
+// --- Tiered stage 2: bucket-contiguous and bucket-major scans -------------
+
+// Block sizes of the tiered block differential: the single-query block,
+// sizes around the kernels' register tiles, a straddle of the ternary
+// kernel's 64-query group (33), and the 128-target chunks a two-worker
+// factorize_all hands each worker on large batches.
+const std::size_t kTieredBlockSizes[] = {1, 2, 3, 8, 33, 128};
+
+// Tiered codebook: `size` random rows (bipolar or ternary) over which a
+// k-means clustering forms real buckets of uneven size.
+Codebook tiered_codebook(std::size_t dim, std::size_t size, bool ternary,
+                         Xoshiro256& rng) {
+  std::vector<Hypervector> items;
+  items.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    items.push_back(ternary ? random_ternary(dim, 0.5, rng)
+                            : random_bipolar(dim, rng));
+  }
+  return Codebook(std::move(items));
+}
+
+// Mixed bipolar/ternary query pool for tiered scans: noisy cleanup hits
+// (which probe their own bucket first), exact rows (every codebook row
+// ties with its duplicates), clipped bundles, random queries of both
+// alphabets, and the all-zero vector (every dot ties at 0).
+std::vector<Hypervector> tiered_queries(const Codebook& cb, std::size_t n,
+                                        Xoshiro256& rng) {
+  std::vector<Hypervector> qs;
+  qs.reserve(n);
+  for (std::size_t i = 0; qs.size() < n; ++i) {
+    const Hypervector& row = cb.item(rng.uniform(cb.size()));
+    switch (i % 6) {
+      case 0:
+        qs.push_back(flip_noise(sign_bipolar(row), 0.2, rng));
+        break;
+      case 1:
+        qs.push_back(row);
+        break;
+      case 2:
+        qs.push_back(clip_ternary(
+            bundle(row, random_bipolar(cb.dim(), rng))));
+        break;
+      case 3:
+        qs.push_back(random_bipolar(cb.dim(), rng));
+        break;
+      case 4:
+        qs.push_back(random_ternary(cb.dim(), 0.3, rng));
+        break;
+      default:
+        qs.push_back(Hypervector(cb.dim()));
+        break;
+    }
+  }
+  return qs;
+}
+
+std::vector<PackedQuery> pack_all(const std::vector<Hypervector>& qs,
+                                  SimdLevel level) {
+  std::vector<PackedQuery> out;
+  out.reserve(qs.size());
+  for (const Hypervector& q : qs) {
+    std::optional<PackedQuery> p = PackedQuery::pack(q, level);
+    EXPECT_TRUE(p.has_value());
+    out.push_back(std::move(*p));
+  }
+  return out;
+}
+
+// The probing configurations of the tiered differentials: fixed nprobe,
+// and adaptive margin-rule probing between a floor and a ceiling.
+struct TierShape {
+  kernels::TieredConfig config;
+  const char* name;
+};
+const TierShape kTierShapes[] = {
+    {{.clusters = 12, .nprobe = 3}, "fixed"},
+    {{.clusters = 12, .nprobe = 3, .nprobe_min = 1, .nprobe_max = 8},
+     "adaptive"},
+};
+
+void expect_same_stats(const kernels::TieredItemMemory::ScanStats& ref,
+                       const kernels::TieredItemMemory::ScanStats& got) {
+  EXPECT_EQ(ref.centroid_dots, got.centroid_dots);
+  EXPECT_EQ(ref.row_dots, got.row_dots);
+  EXPECT_EQ(ref.probes, got.probes);
+}
+
+// best_block over `block` against per-query best(): index, similarity and
+// every ScanStats field.
+void expect_block_matches_best(const kernels::TieredItemMemory& tier,
+                               const std::vector<PackedQuery>& block) {
+  using Stats = kernels::TieredItemMemory::ScanStats;
+  std::vector<Stats> stats(block.size());
+  const std::vector<Match> got = tier.best_block(block, stats.data());
+  ASSERT_EQ(got.size(), block.size());
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    Stats ref_stats;
+    const Match ref = tier.best(block[i], &ref_stats);
+    EXPECT_EQ(ref.index, got[i].index);
+    EXPECT_EQ(ref.similarity, got[i].similarity);
+    expect_same_stats(ref_stats, stats[i]);
+  }
+}
+
+TEST(KernelFuzz, TieredBestBlockMatchesPerQueryBest) {
+  using kernels::TieredItemMemory;
+  Xoshiro256 rng(20261019);
+  std::size_t round = 0;
+  for (bool ternary : {false, true}) {
+    for (const TierShape& shape : kTierShapes) {
+      // Off-word dims exercise the tail masking of every kernel.
+      const std::size_t dim = round++ % 2 == 0 ? 257 : 1000;
+      const Codebook cb = tiered_codebook(dim, 240, ternary, rng);
+      const std::vector<Hypervector> pool = tiered_queries(cb, 128, rng);
+      for (SimdLevel level : available_levels()) {
+        SCOPED_TRACE(std::string(ternary ? "ternary" : "bipolar") +
+                     " rows, " + shape.name + ", dim=" + std::to_string(dim) +
+                     ", " + kernels::to_string(level));
+        const TieredItemMemory tier(cb, shape.config, level);
+        ASSERT_FALSE(tier.exact());
+        const std::vector<PackedQuery> packed = pack_all(pool, level);
+        for (std::size_t q : kTieredBlockSizes) {
+          SCOPED_TRACE("block=" + std::to_string(q));
+          // A rotating window keeps each block's alphabet mix different.
+          std::vector<PackedQuery> block;
+          for (std::size_t i = 0; i < q; ++i) {
+            block.push_back(packed[(i + q) % packed.size()]);
+          }
+          expect_block_matches_best(tier, block);
+        }
+        EXPECT_TRUE(tier.best_block({}).empty());
+      }
+    }
+  }
+}
+
+TEST(KernelFuzz, TieredBestBlockFallsBackOnEmptyBuckets) {
+  // A hand-built degenerate clustering: rows live in buckets 0 and 2,
+  // buckets 1, 3 and 4 are empty. Queries equal to an empty bucket's
+  // centroid probe nothing but empty rows with nprobe = 1 and must take the
+  // exact fallback, charged as a full scan — per query, inside a block
+  // whose other queries scan normally.
+  using kernels::PackedItemMemory;
+  using kernels::TieredItemMemory;
+  Xoshiro256 rng(20261020);
+  for (bool ternary : {false, true}) {
+    const Codebook cb = tiered_codebook(200, 60, ternary, rng);
+    const Codebook centroids_cb(200, 5, rng);
+    for (SimdLevel level : available_levels()) {
+      SCOPED_TRACE(std::string(ternary ? "ternary" : "bipolar") + ", " +
+                   kernels::to_string(level));
+      auto rows = std::make_shared<const PackedItemMemory>(cb, level);
+      auto centroids =
+          std::make_shared<const PackedItemMemory>(centroids_cb, level);
+      // Bucket 0 holds the even rows below 50, bucket 2 every other row.
+      std::vector<std::size_t> member, rest;
+      for (std::size_t r = 0; r < cb.size(); ++r) {
+        (r % 2 == 0 && r < 50 ? member : rest).push_back(r);
+      }
+      member.insert(member.end(), rest.begin(), rest.end());
+      const TieredItemMemory tier(rows, centroids, 1, member,
+                                  {0, 25, 25, 60, 60, 60});
+      std::vector<Hypervector> qs;
+      for (std::size_t c = 0; c < 5; ++c) qs.push_back(centroids_cb.item(c));
+      for (const Hypervector& q : tiered_queries(cb, 9, rng)) qs.push_back(q);
+      const std::vector<PackedQuery> block = pack_all(qs, level);
+      expect_block_matches_best(tier, block);
+      // The empty-bucket queries really did fall back.
+      std::vector<TieredItemMemory::ScanStats> stats(block.size());
+      (void)tier.best_block(block, stats.data());
+      for (const std::size_t c : {1u, 3u, 4u}) {
+        EXPECT_EQ(stats[c].row_dots, cb.size()) << "centroid " << c;
+      }
+    }
+  }
+}
+
+// The stage 2 the bucket-ordered planes replaced, kept as the oracle: the
+// probed buckets are the first `probes` centroids in match_order, and every
+// member row is reached through member_rows() in the original-order row
+// memory, one exact restricted-scan dot per row. Returns every candidate,
+// sorted by match_order.
+std::vector<Match> gather_candidates(const kernels::TieredItemMemory& tier,
+                                     const PackedQuery& q,
+                                     std::size_t probes) {
+  const auto members = tier.member_rows();
+  const auto begins = tier.cluster_begins();
+  std::vector<std::size_t> rows;
+  for (const Match& c : tier.centroid_memory().top_k(q, probes)) {
+    rows.insert(rows.end(), members.begin() + begins[c.index],
+                members.begin() + begins[c.index + 1]);
+  }
+  return tier.rows().above_among(q, -2.0, rows);
+}
+
+TEST(KernelFuzz, TieredContiguousScansMatchGatherOracle) {
+  using kernels::TieredItemMemory;
+  Xoshiro256 rng(20261021);
+  for (bool ternary : {false, true}) {
+    for (const TierShape& shape : kTierShapes) {
+      const Codebook cb = tiered_codebook(ternary ? 320 : 190, 200, ternary,
+                                          rng);
+      const std::vector<Hypervector> qs = tiered_queries(cb, 24, rng);
+      for (SimdLevel level : available_levels()) {
+        SCOPED_TRACE(std::string(ternary ? "ternary" : "bipolar") + " rows, " +
+                     shape.name + ", " + kernels::to_string(level));
+        const TieredItemMemory tier(cb, shape.config, level);
+        for (const PackedQuery& q : pack_all(qs, level)) {
+          TieredItemMemory::ScanStats stats;
+          const Match best = tier.best(q, &stats);
+          const std::vector<Match> cand =
+              gather_candidates(tier, q, stats.probes);
+          ASSERT_FALSE(cand.empty());  // k-means leaves no bucket empty here
+          EXPECT_EQ(stats.row_dots, cand.size());
+          EXPECT_EQ(best.index, cand.front().index);
+          EXPECT_EQ(best.similarity, cand.front().similarity);
+          for (double th : {-2.0, 0.0, cand.front().similarity / 2.0}) {
+            std::vector<Match> want;
+            for (const Match& m : cand) {
+              if (m.similarity > th) want.push_back(m);
+            }
+            expect_same_matches(want, tier.above(q, th));
+          }
+          for (std::size_t k : {std::size_t{1}, std::size_t{7},
+                                cand.size() + 3}) {
+            const std::vector<Match> want(
+                cand.begin(),
+                cand.begin() +
+                    static_cast<std::ptrdiff_t>(std::min(k, cand.size())));
+            expect_same_matches(want, tier.top_k(q, k));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelFuzz, TieredBestBlockAtFullCoverageEqualsPacked) {
+  // The verification bound through the block path: with nprobe = K the
+  // bucket-major block scan is an exact scan, bit-identical to the packed
+  // blocked and single-query scans at every tier.
+  using kernels::PackedItemMemory;
+  using kernels::TieredItemMemory;
+  Xoshiro256 rng(20261022);
+  for (bool ternary : {false, true}) {
+    const Codebook cb = tiered_codebook(129, 90, ternary, rng);
+    const std::vector<Hypervector> qs = tiered_queries(cb, 33, rng);
+    for (SimdLevel level : available_levels()) {
+      SCOPED_TRACE(std::string(ternary ? "ternary" : "bipolar") + ", " +
+                   kernels::to_string(level));
+      const PackedItemMemory ref(cb, level);
+      const TieredItemMemory tier(cb, {.clusters = 7, .nprobe = 7}, level);
+      ASSERT_TRUE(tier.exact());
+      const std::vector<PackedQuery> block = pack_all(qs, level);
+      const std::vector<Match> want = ref.best_block(block);
+      const std::vector<Match> got = tier.best_block(block);
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const Match one = ref.best(block[i]);
+        EXPECT_EQ(one.index, want[i].index) << "query " << i;
+        EXPECT_EQ(want[i].index, got[i].index) << "query " << i;
+        EXPECT_EQ(want[i].similarity, got[i].similarity) << "query " << i;
+      }
+    }
   }
 }
 

@@ -144,6 +144,37 @@ TEST(ResultCache, FingerprintCollisionIsAMissNeverAWrongAnswer) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(ResultCache, AlphabetTagSeparatesTargetsWithCoincidingWords) {
+  // Stored targets are compact encodings: bit planes for bipolar/ternary
+  // targets, int32 components two per 64-bit word otherwise. Each pair
+  // below encodes to the same words at the same dimension, so only the
+  // alphabet tag tells them apart:
+  //  - ternary {+1,-1,0,+1}: sign plane 0b1001 = 9, nonzero plane
+  //    0b1011 = 11  vs  integer {9,0,11,0}: words 9 and 11;
+  //  - bipolar {+1,+1}: sign plane 0b11 = 3  vs  integer {3,0}: word 3.
+  const core::FactorizeOptions opts;
+  const struct {
+    hdc::Hypervector planes;
+    hdc::Hypervector integer;
+  } pairs[] = {{{1, -1, 0, 1}, {9, 0, 11, 0}}, {{1, 1}, {3, 0}}};
+  for (const auto& pair : pairs) {
+    service::ResultCache cache(16, 1);
+    cache.insert(42, pair.planes, opts, make_result(1));
+    EXPECT_FALSE(cache.lookup(42, pair.integer, opts).has_value());
+    EXPECT_TRUE(*cache.lookup(42, pair.planes, opts) == make_result(1));
+    cache.insert(42, pair.integer, opts, make_result(2));
+    EXPECT_FALSE(cache.lookup(42, pair.planes, opts).has_value());
+    EXPECT_TRUE(*cache.lookup(42, pair.integer, opts) == make_result(2));
+  }
+  // Same alphabet, different dimension: a trailing zero component changes
+  // the dimension tag but not the integer words.
+  service::ResultCache cache(16, 1);
+  cache.insert(7, hdc::Hypervector{5, 0, 7}, opts, make_result(3));
+  EXPECT_FALSE(cache.lookup(7, hdc::Hypervector{5, 0, 7, 0}, opts).has_value());
+  EXPECT_TRUE(*cache.lookup(7, hdc::Hypervector{5, 0, 7}, opts) ==
+              make_result(3));
+}
+
 TEST(ResultCache, EvictsLeastRecentlyUsedPerShard) {
   util::Xoshiro256 rng(7);
   service::ResultCache cache(3, 1);  // one shard, 3 entries

@@ -9,17 +9,22 @@
 //    on every scan surface, ScanMode::kExact bypasses the tier per call,
 //    kAuto only tiers above the FACTORHD_TIERED_MIN_ROWS threshold, and
 //    the Factorizer's multi-object loop re-scans stalled rounds exactly
-//    (so convergence is never an approximation artifact).
+//    (so convergence is never an approximation artifact);
+//  * concurrency — the bucket-major best_block on one shared tier from
+//    several threads (run under ThreadSanitizer in CI).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/encoder.hpp"
 #include "core/factorizer.hpp"
 #include "hdc/item_memory.hpp"
+#include "hdc/kernels/plane.hpp"
 #include "hdc/kernels/tiered_item_memory.hpp"
 #include "hdc/random.hpp"
 #include "taxonomy/codebooks.hpp"
@@ -316,6 +321,73 @@ TEST(TieredMemory, TieredKnobsRegistered) {
     nprobe |= name == "FACTORHD_TIERED_NPROBE";
   }
   EXPECT_TRUE(clusters && min_rows && nprobe);
+}
+
+TEST(TieredBlockConcurrency, SharedTierServesFourThreadsBitIdentically) {
+  // Four threads run best_block on one shared tier — two through the
+  // TieredItemMemory surface, two through an ItemMemory that routes its
+  // default-mode blocks there — and every answer and every per-query count
+  // must equal the single-threaded reference. The tier is immutable after
+  // construction, so this is also the data-race check for the
+  // bucket-ordered planes and the per-call scratch.
+  using kernels::PackedQuery;
+  Xoshiro256 rng(20261019);
+  const Codebook cb(512, 1500, rng);
+  const TieredConfig config{.clusters = 24, .nprobe = 4};
+  const TieredItemMemory tier(cb, config);
+  const ItemMemory memory(cb, ScanBackend::kTiered, config);
+  std::vector<Hypervector> queries;
+  std::vector<PackedQuery> packed;
+  for (std::size_t i = 0; i < 48; ++i) {
+    queries.push_back(i % 3 == 2 ? random_ternary(cb.dim(), 0.4, rng)
+                                 : flip_noise(cb.item(rng.uniform(cb.size())),
+                                              0.2, rng));
+    packed.push_back(*PackedQuery::pack(queries.back()));
+  }
+  std::vector<TieredItemMemory::ScanStats> ref_stats(packed.size());
+  const std::vector<Match> ref = tier.best_block(packed, ref_stats.data());
+
+  std::atomic<std::size_t> mismatches{0};
+  const auto tier_worker = [&] {
+    for (int pass = 0; pass < 3; ++pass) {
+      std::vector<TieredItemMemory::ScanStats> stats(packed.size());
+      const std::vector<Match> got = tier.best_block(packed, stats.data());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i].index != ref[i].index ||
+            got[i].similarity != ref[i].similarity ||
+            stats[i].row_dots != ref_stats[i].row_dots ||
+            stats[i].probes != ref_stats[i].probes) {
+          ++mismatches;
+        }
+      }
+    }
+  };
+  const auto memory_worker = [&] {
+    for (int pass = 0; pass < 3; ++pass) {
+      std::vector<std::uint64_t> scanned(queries.size());
+      std::vector<std::uint64_t> probes(queries.size());
+      const std::vector<Match> got = memory.best_block(
+          queries, ScanMode::kDefault, scanned.data(), probes.data());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i].index != ref[i].index ||
+            scanned[i] != ref_stats[i].centroid_dots + ref_stats[i].row_dots ||
+            probes[i] != ref_stats[i].probes) {
+          ++mismatches;
+        }
+      }
+    }
+  };
+  const std::uint64_t ops_before = memory.similarity_ops();
+  std::vector<std::thread> pool;
+  pool.emplace_back(tier_worker);
+  pool.emplace_back(memory_worker);
+  pool.emplace_back(tier_worker);
+  pool.emplace_back(memory_worker);
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  std::uint64_t per_pass = 0;
+  for (const auto& st : ref_stats) per_pass += st.centroid_dots + st.row_dots;
+  EXPECT_EQ(memory.similarity_ops() - ops_before, 2 * 3 * per_pass);
 }
 
 }  // namespace

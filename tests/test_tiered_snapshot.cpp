@@ -145,6 +145,22 @@ void expect_scans_bit_identical(const TieredItemMemory& ref,
     EXPECT_EQ(rpb.similarity, gpb.similarity);
     expect_same_matches(ref.top_k(*pq, 5), got.top_k(*pq, 5));
   }
+  // The bucket-major block scan: an adopted tier rebuilds its bucket-ordered
+  // planes from the snapshot's member lists and must stream them exactly
+  // as the built tier does, accounting included.
+  std::vector<PackedQuery> block;
+  for (const Hypervector& q : queries) block.push_back(*PackedQuery::pack(q));
+  std::vector<TieredItemMemory::ScanStats> rs(block.size()), gs(block.size());
+  const std::vector<Match> rb = ref.best_block(block, rs.data());
+  const std::vector<Match> gb = got.best_block(block, gs.data());
+  ASSERT_EQ(rb.size(), gb.size());
+  for (std::size_t i = 0; i < rb.size(); ++i) {
+    EXPECT_EQ(rb[i].index, gb[i].index) << "query " << i;
+    EXPECT_EQ(rb[i].similarity, gb[i].similarity) << "query " << i;
+    EXPECT_EQ(rs[i].centroid_dots, gs[i].centroid_dots) << "query " << i;
+    EXPECT_EQ(rs[i].row_dots, gs[i].row_dots) << "query " << i;
+    EXPECT_EQ(rs[i].probes, gs[i].probes) << "query " << i;
+  }
 }
 
 TEST(TieredSnapshot, RoundTripBitIdenticalThroughEveryLoadPath) {
