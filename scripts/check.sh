@@ -16,7 +16,8 @@
 #                             # fuzz, batch, service soak, tiered
 #                             # snapshot/parallel build, shared-tier
 #                             # block scans, sharded scatter-gather,
-#                             # network faults) only
+#                             # row-parallel codebook packing, network
+#                             # faults) only
 #
 # Extra arguments after the mode are forwarded to ctest.
 set -euo pipefail
@@ -47,11 +48,12 @@ case "${1:-}" in
     CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Debug -DFACTORHD_TSAN=ON -DFACTORHD_WERROR=ON)
     # The suites that exercise the worker pools (BatchFactorizer, the
     # parallel plane scans, the parallel tier build, concurrent block
-    # scans of one shared tier, the sharded
-    # scatter-gather, the serving engine, the wait-free metrics/trace
-    # plumbing, and the network front end's event loop + admission queue
-    # over real sockets); everything else is single-threaded.
-    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|TieredBlockConcurrency|ModelSnapshot|AdaptiveNprobe|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults')
+    # scans of one shared tier, the sharded scatter-gather, the
+    # row-parallel codebook packing, the serving engine, the wait-free
+    # metrics/trace plumbing, and the network front end's event loop +
+    # admission queue over real sockets); everything else is
+    # single-threaded.
+    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|TieredBlockConcurrency|ModelSnapshot|AdaptiveNprobe|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|CodebookPacking')
     ;;
 esac
 CTEST_ARGS+=("$@")

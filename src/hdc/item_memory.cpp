@@ -126,19 +126,22 @@ ItemMemory::ItemMemory(const Codebook& codebook, ScanBackend backend,
       break;
     }
     case ScanBackend::kAuto:
-      if (tiered.has_value() && !PackedItemMemory::packable(codebook)) {
+      // One read of the codebook validates and packs it; null means an
+      // entry outside {-1, 0, +1} (or an empty codebook), which stays
+      // scalar.
+      packed_ = PackedItemMemory::try_pack(codebook);
+      if (!packed_ && tiered.has_value()) {
         // An explicit config promises a tier index; never drop it silently.
         throw std::invalid_argument(
             "ItemMemory: TieredConfig given but the codebook is not "
             "packable (entries outside {-1, 0, +1})");
       }
-      if (sharded.has_value() && !PackedItemMemory::packable(codebook)) {
+      if (!packed_ && sharded.has_value()) {
         throw std::invalid_argument(
             "ItemMemory: ShardedConfig given but the codebook is not "
             "packable (entries outside {-1, 0, +1})");
       }
-      if (PackedItemMemory::packable(codebook)) {
-        packed_ = std::make_shared<const PackedItemMemory>(codebook);
+      if (packed_) {
         // Auto-upgrade to the tiered index for very large codebooks (an
         // explicit config forces it regardless of the threshold; min_rows
         // of 0 disables the upgrade so kAuto stays exact everywhere).

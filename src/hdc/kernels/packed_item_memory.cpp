@@ -1,6 +1,9 @@
 #include "hdc/kernels/packed_item_memory.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -26,8 +29,6 @@ constexpr std::size_t parallel_scan_min_words(SimdLevel level) noexcept {
 // Depth of outer worker pools on this thread (see ScanNestingGuard).
 thread_local int scan_nesting_depth = 0;
 
-enum class Alphabet { kBipolar, kTernary, kOther };
-
 }  // namespace
 
 // Worker-pool width: FACTORHD_SCAN_THREADS when set (1 disables threading),
@@ -51,65 +52,145 @@ bool scan_nesting_active() noexcept { return scan_nesting_depth > 0; }
 
 namespace {
 
-Alphabet classify(const Hypervector& v) noexcept {
-  bool any_zero = false;
-  const auto* p = v.data();
-  for (std::size_t i = 0, n = v.dim(); i < n; ++i) {
-    if (p[i] > 1 || p[i] < -1) return Alphabet::kOther;
-    any_zero |= (p[i] == 0);
+// Packing reads 256 bytes of int32 components per plane word, 64x what a
+// scan reads, so it crosses the spawn+join break-even at a far smaller
+// codebook: 2^20 components (4 MB of int32) take just under a millisecond
+// on one AVX-512 core (2^28 took 0.16-0.20 s). The taxonomy codebooks of
+// the paper experiments (M <= a few hundred, D <= 8192) pack sequentially.
+constexpr std::size_t kParallelPackMinComponents = std::size_t{1} << 20;
+
+// Runs fn(begin, end) over fixed contiguous blocks of [0, n), one block per
+// worker, the first on the calling thread. Block boundaries depend only on n
+// and the worker count, and every caller writes a disjoint output slice per
+// block, so results are byte-identical for any worker count. An exception
+// from any block is rethrown once every thread has joined.
+template <typename Fn>
+void run_row_blocks(std::size_t n, std::size_t workers, const Fn& fn) {
+  workers = std::min(workers, n);
+  if (workers <= 1) {
+    if (n > 0) fn(std::size_t{0}, n);
+    return;
   }
-  return any_zero ? Alphabet::kTernary : Alphabet::kBipolar;
+  // Ceil division can leave fewer non-empty blocks than workers; stop at n
+  // rather than spawn idle threads.
+  const std::size_t chunk = (n + workers - 1) / workers;
+  const std::size_t blocks = (n + chunk - 1) / chunk;
+  std::vector<std::exception_ptr> errors(blocks);
+  const auto run = [&fn, &errors, chunk, n](std::size_t block) {
+    try {
+      fn(block * chunk, std::min(n, (block + 1) * chunk));
+    } catch (...) {
+      errors[block] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(blocks - 1);
+  try {
+    for (std::size_t block = 1; block < blocks; ++block) {
+      pool.emplace_back(run, block);
+    }
+  } catch (...) {
+    // A failed spawn (thread-limit pressure) must not let the vector
+    // destructor run on joinable threads (std::terminate); join what
+    // started, then propagate.
+    for (auto& t : pool) t.join();
+    throw;
+  }
+  run(0);
+  for (auto& t : pool) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace
 
-bool PackedItemMemory::packable(const Codebook& codebook) noexcept {
-  if (codebook.size() == 0 || codebook.dim() == 0) return false;
-  for (const Hypervector& item : codebook.items()) {
-    if (classify(item) == Alphabet::kOther) return false;
-  }
-  return true;
+bool PackedItemMemory::packable(const Codebook& codebook) {
+  return try_pack(codebook) != nullptr;
+}
+
+std::shared_ptr<const PackedItemMemory> PackedItemMemory::try_pack(
+    const Codebook& codebook, std::optional<SimdLevel> level) {
+  std::shared_ptr<const PackedItemMemory> mem(
+      new PackedItemMemory(codebook, level, Unchecked{}));
+  if (mem->sign_ == nullptr) return nullptr;
+  return mem;
 }
 
 PackedItemMemory::PackedItemMemory(const Codebook& codebook,
                                    std::optional<SimdLevel> level)
+    : PackedItemMemory(codebook, level, Unchecked{}) {
+  if (size_ == 0 || dim_ == 0) {
+    throw std::invalid_argument("PackedItemMemory: empty codebook");
+  }
+  if (sign_ == nullptr) {
+    throw std::invalid_argument(
+        "PackedItemMemory: codebook entry outside {-1,0,+1}");
+  }
+}
+
+PackedItemMemory::PackedItemMemory(const Codebook& codebook,
+                                   std::optional<SimdLevel> level, Unchecked)
     : size_(codebook.size()),
       dim_(codebook.dim()),
       words_(plane_words(codebook.dim())),
       level_(level.value_or(dispatched_simd_level())),
       kernels_(&dot_kernels(level_)) {
-  if (size_ == 0 || dim_ == 0) {
-    throw std::invalid_argument("PackedItemMemory: empty codebook");
-  }
-  layout_ = Layout::kBipolar;
-  for (const Hypervector& item : codebook.items()) {
-    switch (classify(item)) {
-      case Alphabet::kBipolar:
-        break;
-      case Alphabet::kTernary:
-        layout_ = Layout::kTernary;
-        break;
-      case Alphabet::kOther:
-        throw std::invalid_argument(
-            "PackedItemMemory: codebook entry outside {-1,0,+1}");
-    }
-  }
-
-  owned_sign_.assign(size_ * words_, 0);
-  if (layout_ == Layout::kTernary) owned_nonzero_.assign(size_ * words_, 0);
-  for (std::size_t row = 0; row < size_; ++row) {
-    const auto* p = codebook.item(row).data();
-    std::uint64_t* rs = &owned_sign_[row * words_];
-    std::uint64_t* rnz =
-        layout_ == Layout::kTernary ? &owned_nonzero_[row * words_] : nullptr;
-    for (std::size_t i = 0; i < dim_; ++i) {
-      if (p[i] == 0) continue;
-      if (rnz != nullptr) rnz[i / kWordBits] |= (1ULL << (i % kWordBits));
-      if (p[i] > 0) rs[i / kWordBits] |= (1ULL << (i % kWordBits));
-    }
-  }
+  if (size_ == 0 || dim_ == 0 || !pack_rows(codebook)) return;
   sign_ = owned_sign_.data();
-  if (layout_ == Layout::kTernary) nonzero_ = owned_nonzero_.data();
+  if (!owned_nonzero_.empty()) {
+    layout_ = Layout::kTernary;
+    nonzero_ = owned_nonzero_.data();
+  }
+}
+
+// One read of each entry through the tier's fused packer validates it,
+// packs its sign plane and reports its zeros. Each row packs independently
+// into its own plane slice, so the planes are byte-identical for any worker
+// count. The nonzero plane is allocated only once some row holds a zero, so
+// a bipolar codebook never holds a second plane: until then each worker
+// packs nonzero words into a one-row scratch. The first zero row allocates
+// the plane pre-filled with all-nonzero rows (what the packer emits for a
+// zero-free row); from then on that worker packs straight into it.
+bool PackedItemMemory::pack_rows(const Codebook& codebook) {
+  owned_sign_.assign(size_ * words_, 0);
+  std::vector<std::uint64_t> full_row(words_, ~0ULL);
+  if (const std::size_t tail = dim_ % kWordBits; tail != 0) {
+    full_row.back() = (1ULL << tail) - 1;
+  }
+  std::once_flag nonzero_once;
+  std::atomic<bool> invalid{false};
+  const auto pack_range = [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint64_t> scratch(words_);
+    bool have_plane = false;
+    for (std::size_t row = begin; row < end; ++row) {
+      if (invalid.load(std::memory_order_relaxed)) return;
+      std::uint64_t* nz =
+          have_plane ? &owned_nonzero_[row * words_] : scratch.data();
+      bool any_zero = false;
+      if (!kernels_->pack_planes(codebook.item(row).data(), dim_,
+                                 &owned_sign_[row * words_], nz, &any_zero)) {
+        invalid.store(true, std::memory_order_relaxed);
+        return;
+      }
+      if (any_zero && !have_plane) {
+        std::call_once(nonzero_once, [&] {
+          owned_nonzero_.reserve(size_ * words_);
+          for (std::size_t r = 0; r < size_; ++r) {
+            owned_nonzero_.insert(owned_nonzero_.end(), full_row.begin(),
+                                  full_row.end());
+          }
+        });
+        have_plane = true;
+        std::copy(scratch.begin(), scratch.end(),
+                  &owned_nonzero_[row * words_]);
+      }
+    }
+  };
+  const bool parallel = !scan_nesting_active() &&
+                        size_ * dim_ >= kParallelPackMinComponents;
+  run_row_blocks(size_, parallel ? scan_pool_width() : 1, pack_range);
+  return !invalid.load();
 }
 
 PackedItemMemory::PackedItemMemory(Layout layout, std::size_t dim,
@@ -168,38 +249,12 @@ std::size_t PackedItemMemory::scan_workers() const noexcept {
 
 void PackedItemMemory::compute_dots(const PackedQuery& query,
                                     std::span<std::int64_t> out) const {
-  const std::size_t workers = scan_workers();
-  if (workers <= 1) {
-    for (std::size_t row = 0; row < size_; ++row) {
-      out[row] = row_dot(row, query);
-    }
-    return;
-  }
-  // Contiguous fixed row blocks, one per worker; every worker writes a
-  // disjoint slice of `out`, so the result is byte-identical to the
-  // sequential loop for any pool width. Ceil division can leave fewer
-  // non-empty blocks than workers — stop at size_ rather than spawn idle
-  // threads.
-  const std::size_t chunk = (size_ + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  try {
-    for (std::size_t begin = 0; begin < size_; begin += chunk) {
-      const std::size_t end = std::min(size_, begin + chunk);
-      pool.emplace_back([this, &query, out, begin, end] {
-        for (std::size_t row = begin; row < end; ++row) {
-          out[row] = row_dot(row, query);
-        }
-      });
-    }
-  } catch (...) {
-    // A failed spawn (thread-limit pressure) must not let the vector
-    // destructor run on joinable threads (std::terminate); join what
-    // started, then propagate.
-    for (auto& t : pool) t.join();
-    throw;
-  }
-  for (auto& t : pool) t.join();
+  run_row_blocks(size_, scan_workers(),
+                 [this, &query, out](std::size_t begin, std::size_t end) {
+                   for (std::size_t row = begin; row < end; ++row) {
+                     out[row] = row_dot(row, query);
+                   }
+                 });
 }
 
 void PackedItemMemory::require_query(const PackedQuery& query) const {
@@ -599,23 +654,7 @@ void PackedItemMemory::dots_block(std::span<const PackedQuery> queries,
                   out.data() + orig_index(t) * size_ + begin);
     }
   };
-  if (workers <= 1) {
-    fill_range(0, size_);
-    return;
-  }
-  const std::size_t chunk = (size_ + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  try {
-    for (std::size_t begin = 0; begin < size_; begin += chunk) {
-      const std::size_t end = std::min(size_, begin + chunk);
-      pool.emplace_back([&fill_range, begin, end] { fill_range(begin, end); });
-    }
-  } catch (...) {
-    for (auto& t : pool) t.join();
-    throw;
-  }
-  for (auto& t : pool) t.join();
+  run_row_blocks(size_, workers, fill_range);
 }
 
 Match PackedItemMemory::best(const Hypervector& query) const {

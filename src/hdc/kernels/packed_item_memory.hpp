@@ -79,15 +79,33 @@ class PackedItemMemory {
     kTernary,  ///< nonzero + sign planes per entry (entries in {-1,0,+1}^D)
   };
 
+  /// Tests the precondition of the packing constructor by packing. Callers
+  /// that go on to scan should call try_pack() and keep its result instead
+  /// of reading the codebook twice.
   /// \param codebook Codebook to test.
-  /// \return True when every entry is bipolar or every entry is ternary and
-  ///   the codebook is non-empty with non-zero dimension — the precondition
-  ///   of the packing constructor.
-  [[nodiscard]] static bool packable(const Codebook& codebook) noexcept;
+  /// \return True when the codebook is non-empty with non-zero dimension and
+  ///   every entry lies in {-1, 0, +1}^D. Bipolar and ternary entries may be
+  ///   mixed; such a codebook packs in the ternary layout.
+  [[nodiscard]] static bool packable(const Codebook& codebook);
+
+  /// Packs `codebook` as the constructor does, but reports an unpackable
+  /// codebook by returning null instead of throwing. This is the kAuto
+  /// backend's single read of the codebook: validation and packing are one
+  /// pass.
+  /// \param codebook Source codebook of any alphabet.
+  /// \param level As the packing constructor.
+  /// \return The packed memory, or null when `packable(codebook)` is false.
+  [[nodiscard]] static std::shared_ptr<const PackedItemMemory> try_pack(
+      const Codebook& codebook, std::optional<SimdLevel> level = std::nullopt);
 
   /// Packs `codebook` into word planes. The codebook is only read during
   /// construction; the packed memory owns its planes and stays valid even if
-  /// the codebook is later destroyed.
+  /// the codebook is later destroyed. Each row goes once through the
+  /// memory's own tier's DotKernels::pack_planes, which validates and packs
+  /// it in one pass; large codebooks split their rows across the scan pool
+  /// in fixed contiguous blocks (sequential under a ScanNestingGuard). The
+  /// planes are identical for every tier and worker count. The layout is
+  /// kTernary as soon as any entry holds a zero, else kBipolar.
   /// \param codebook Source codebook (bipolar or ternary entries).
   /// \param level SIMD tier the scans run at; std::nullopt (the default)
   ///   selects the runtime-dispatched level (CPUID clamped by FACTORHD_SIMD).
@@ -271,6 +289,16 @@ class PackedItemMemory {
   void dots(const Hypervector& query, std::span<std::int64_t> out) const;
 
  private:
+  /// Tag of the packing constructor that leaves sign_ null instead of
+  /// throwing when the codebook is empty or unpackable (try_pack's path).
+  struct Unchecked {};
+  PackedItemMemory(const Codebook& codebook, std::optional<SimdLevel> level,
+                   Unchecked);
+  /// Packs every codebook row into owned_sign_ (and owned_nonzero_, which
+  /// stays empty unless some entry holds a zero).
+  /// \return False when an entry lies outside {-1, 0, +1}.
+  bool pack_rows(const Codebook& codebook);
+
   /// Query block regrouped by alphabet for the QueryBlockKernels loop nest:
   /// one plane-pointer array per alphabet plus the original query index of
   /// each subgroup entry, so reductions map kernel output back to query

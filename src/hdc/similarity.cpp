@@ -4,7 +4,12 @@
 
 namespace factorhd::hdc {
 
-std::int64_t dot(const Hypervector& a, const Hypervector& b) {
+// dot and similarity carry the integer residual scans of multi-object
+// factorization, and their loop's speed moved by about 1.5x with nothing but
+// the function's address mod 64. Pinning both to a 64-byte boundary keeps
+// unrelated changes elsewhere in the library from moving that workload.
+[[gnu::aligned(64)]] std::int64_t dot(const Hypervector& a,
+                                      const Hypervector& b) {
   require_same_dim(a, b, "dot");
   const auto* pa = a.data();
   const auto* pb = b.data();
@@ -15,7 +20,8 @@ std::int64_t dot(const Hypervector& a, const Hypervector& b) {
   return acc;
 }
 
-double similarity(const Hypervector& a, const Hypervector& b) {
+[[gnu::aligned(64)]] double similarity(const Hypervector& a,
+                                       const Hypervector& b) {
   return static_cast<double>(dot(a, b)) / static_cast<double>(a.dim());
 }
 

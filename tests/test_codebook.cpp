@@ -6,12 +6,27 @@
 #include "hdc/codebook.hpp"
 #include "hdc/random.hpp"
 #include "hdc/similarity.hpp"
+#include "taxonomy/codebooks.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace factorhd::hdc;
 using factorhd::util::Xoshiro256;
+
+// The bit-at-a-time expansion random_bipolar used before its table-driven
+// form, kept as the golden oracle: one draw per 64 components, low bit
+// first, +1 for a set bit.
+Hypervector bit_loop_bipolar(std::size_t dim, Xoshiro256& rng) {
+  Hypervector out(dim);
+  for (std::size_t i = 0; i < dim; i += 64) {
+    std::uint64_t bits = rng();
+    for (std::size_t k = 0; k < 64 && i + k < dim; ++k, bits >>= 1) {
+      out[i + k] = (bits & 1u) != 0 ? 1 : -1;
+    }
+  }
+  return out;
+}
 
 TEST(RandomBipolar, ProducesBipolarOfRequestedDim) {
   Xoshiro256 rng(1);
@@ -102,6 +117,42 @@ TEST(Codebook, DeterministicGivenSeed) {
   Codebook a(128, 4, rng1);
   Codebook b(128, 4, rng2);
   for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(a.item(j), b.item(j));
+}
+
+TEST(RandomBipolar, MatchesBitLoopOracle) {
+  // Same draws, same components: every seed keeps generating the codebooks
+  // it generated before the table-driven expansion.
+  for (std::size_t d : {1u, 63u, 64u, 65u, 127u, 4096u}) {
+    Xoshiro256 fast(77 + d), oracle(77 + d);
+    for (int rep = 0; rep < 3; ++rep) {
+      EXPECT_EQ(random_bipolar(d, fast), bit_loop_bipolar(d, oracle))
+          << "dim=" << d << " rep=" << rep;
+    }
+    EXPECT_EQ(fast(), oracle()) << "generator state diverged at dim=" << d;
+  }
+}
+
+TEST(RandomBipolar, SeededTaxonomyCodebooksMatchBitLoopOracle) {
+  // TaxonomyCodebooks draws the null HV, then per class its label followed
+  // by each level's items in order; replaying that order through the oracle
+  // must give the same items.
+  const factorhd::tax::Taxonomy t(
+      std::vector<std::vector<std::size_t>>{{5}, {3, 4}, {7}});
+  for (std::size_t d : {65u, 1000u}) {
+    Xoshiro256 rng(2024), oracle(2024);
+    const factorhd::tax::TaxonomyCodebooks books(t, d, rng);
+    EXPECT_EQ(books.null_hv(), bit_loop_bipolar(d, oracle));
+    for (std::size_t c = 0; c < t.num_classes(); ++c) {
+      EXPECT_EQ(books.label(c), bit_loop_bipolar(d, oracle)) << "class " << c;
+      for (std::size_t l = 1; l <= t.depth(c); ++l) {
+        const Codebook& cb = books.level_codebook(c, l);
+        for (std::size_t j = 0; j < cb.size(); ++j) {
+          EXPECT_EQ(cb.item(j), bit_loop_bipolar(d, oracle))
+              << "class " << c << " level " << l << " item " << j;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

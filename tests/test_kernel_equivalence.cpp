@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/encoder.hpp"
@@ -351,6 +354,167 @@ TEST(KernelEquivalence, BatchDotKernelsMatchPerRowDotsAtEveryLevel) {
             out.data());
         EXPECT_EQ(ref_p, out) << "prefix bipolar_rows dim=" << dim
                               << " level=" << kernels::to_string(level);
+      }
+    }
+  }
+}
+
+// The per-component packing loop PackedItemMemory used before it packed
+// through DotKernels::pack_planes, kept as the oracle: nullopt for an entry
+// outside {-1, 0, +1}, ternary layout as soon as any entry holds a zero
+// (nonzero plane empty otherwise), one bit set per +1 / nonzero component.
+struct OraclePlanes {
+  PackedItemMemory::Layout layout = PackedItemMemory::Layout::kBipolar;
+  std::vector<std::uint64_t> sign;
+  std::vector<std::uint64_t> nonzero;
+};
+
+std::optional<OraclePlanes> oracle_pack(const Codebook& cb) {
+  OraclePlanes out;
+  for (const Hypervector& item : cb.items()) {
+    for (std::size_t i = 0; i < item.dim(); ++i) {
+      if (item[i] > 1 || item[i] < -1) return std::nullopt;
+      if (item[i] == 0) out.layout = PackedItemMemory::Layout::kTernary;
+    }
+  }
+  const bool ternary = out.layout == PackedItemMemory::Layout::kTernary;
+  const std::size_t words = kernels::plane_words(cb.dim());
+  out.sign.assign(cb.size() * words, 0);
+  if (ternary) out.nonzero.assign(cb.size() * words, 0);
+  for (std::size_t row = 0; row < cb.size(); ++row) {
+    const Hypervector& item = cb.item(row);
+    for (std::size_t i = 0; i < item.dim(); ++i) {
+      const std::uint64_t bit = 1ULL << (i % 64);
+      if (item[i] == 0) continue;
+      if (ternary) out.nonzero[row * words + i / 64] |= bit;
+      if (item[i] > 0) out.sign[row * words + i / 64] |= bit;
+    }
+  }
+  return out;
+}
+
+void expect_oracle_planes(const PackedItemMemory& mem, const OraclePlanes& want,
+                          const std::string& what) {
+  EXPECT_EQ(mem.layout(), want.layout) << what;
+  const auto sign = mem.sign_plane();
+  EXPECT_TRUE(std::equal(sign.begin(), sign.end(), want.sign.begin(),
+                         want.sign.end()))
+      << what << ": sign plane differs";
+  const auto nz = mem.nonzero_plane();
+  EXPECT_TRUE(std::equal(nz.begin(), nz.end(), want.nonzero.begin(),
+                         want.nonzero.end()))
+      << what << ": nonzero plane differs";
+}
+
+std::vector<kernels::SimdLevel> available_levels() {
+  std::vector<kernels::SimdLevel> levels{kernels::SimdLevel::kScalarWords};
+  for (kernels::SimdLevel l :
+       {kernels::SimdLevel::kAVX2, kernels::SimdLevel::kAVX512,
+        kernels::SimdLevel::kNEON}) {
+    if (kernels::simd_level_available(l)) levels.push_back(l);
+  }
+  return levels;
+}
+
+// The packing cases: all bipolar; bipolar except a last row holding the
+// codebook's only zero (the ternary layout must still switch on); bipolar
+// and ternary rows interleaved; and bipolar with a 2 in the last row's last
+// entry (must be rejected after every other row packed cleanly).
+enum class PackCase { kBipolar, kZeroInLastRow, kMixed, kTwoInLastRow };
+
+Codebook make_pack_case(PackCase c, std::size_t dim, std::size_t rows,
+                        Xoshiro256& rng) {
+  std::vector<Hypervector> items;
+  items.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const bool ternary_row = c == PackCase::kMixed && r % 3 == 1;
+    items.push_back(ternary_row ? random_ternary(dim, 0.4, rng)
+                                : random_bipolar(dim, rng));
+    if (ternary_row) items.back()[r % dim] = 0;  // at least one zero
+  }
+  if (c == PackCase::kZeroInLastRow) items.back()[dim / 2] = 0;
+  if (c == PackCase::kTwoInLastRow) items.back()[dim - 1] = 2;
+  return Codebook(std::move(items));
+}
+
+const char* to_string(PackCase c) {
+  switch (c) {
+    case PackCase::kBipolar: return "bipolar";
+    case PackCase::kZeroInLastRow: return "zero-in-last-row";
+    case PackCase::kMixed: return "mixed";
+    case PackCase::kTwoInLastRow: return "two-in-last-row";
+  }
+  return "?";
+}
+
+void check_pack_case(const Codebook& cb,
+                     const std::optional<OraclePlanes>& want,
+                     kernels::SimdLevel level, const std::string& what) {
+  if (!want) {
+    EXPECT_FALSE(PackedItemMemory::packable(cb)) << what;
+    EXPECT_EQ(PackedItemMemory::try_pack(cb, level), nullptr) << what;
+    EXPECT_THROW(PackedItemMemory(cb, level), std::invalid_argument) << what;
+    return;
+  }
+  EXPECT_TRUE(PackedItemMemory::packable(cb)) << what;
+  const PackedItemMemory mem(cb, level);
+  EXPECT_EQ(mem.simd_level(), level) << what;
+  expect_oracle_planes(mem, *want, what);
+  const auto tried = PackedItemMemory::try_pack(cb, level);
+  ASSERT_NE(tried, nullptr) << what;
+  expect_oracle_planes(*tried, *want, what + " (try_pack)");
+}
+
+TEST(KernelEquivalence, CodebookPackingMatchesPerComponentOracle) {
+  Xoshiro256 rng(909);
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{63},
+                                std::size_t{64}, std::size_t{65},
+                                std::size_t{1000}, std::size_t{4096}}) {
+    for (const PackCase c : {PackCase::kBipolar, PackCase::kZeroInLastRow,
+                             PackCase::kMixed, PackCase::kTwoInLastRow}) {
+      const Codebook cb = make_pack_case(c, dim, 7, rng);
+      const std::optional<OraclePlanes> want = oracle_pack(cb);
+      for (const kernels::SimdLevel level : available_levels()) {
+        check_pack_case(cb, want, level,
+                        std::string(to_string(c)) + " dim=" +
+                            std::to_string(dim) + " level=" +
+                            kernels::to_string(level));
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, CodebookPackingIsIdenticalForEveryWorkerCount) {
+  // Codebooks of at least 2^20 components pack row-parallel over the scan
+  // pool (when the host has more than one hardware thread); a
+  // ScanNestingGuard pins the same pack to one worker. The zero-in-last-row
+  // case makes the last block allocate the nonzero plane after the other
+  // blocks packed their rows into scratch.
+  Xoshiro256 rng(1010);
+  for (const auto& [dim, rows] : {std::pair<std::size_t, std::size_t>{4096, 300},
+                                  {1000, 1100}}) {
+    for (const PackCase c : {PackCase::kBipolar, PackCase::kZeroInLastRow,
+                             PackCase::kMixed, PackCase::kTwoInLastRow}) {
+      const Codebook cb = make_pack_case(c, dim, rows, rng);
+      const std::optional<OraclePlanes> want = oracle_pack(cb);
+      for (const kernels::SimdLevel level : available_levels()) {
+        const std::string what = std::string(to_string(c)) + " dim=" +
+                                 std::to_string(dim) + " level=" +
+                                 kernels::to_string(level);
+        check_pack_case(cb, want, level, what);
+        if (c == PackCase::kTwoInLastRow) continue;
+        const PackedItemMemory parallel(cb, level);
+        const kernels::ScanNestingGuard one_worker;
+        const PackedItemMemory sequential(cb, level);
+        EXPECT_EQ(parallel.layout(), sequential.layout()) << what;
+        const auto ps = parallel.sign_plane();
+        const auto ss = sequential.sign_plane();
+        EXPECT_TRUE(std::equal(ps.begin(), ps.end(), ss.begin(), ss.end()))
+            << what;
+        const auto pn = parallel.nonzero_plane();
+        const auto sn = sequential.nonzero_plane();
+        EXPECT_TRUE(std::equal(pn.begin(), pn.end(), sn.begin(), sn.end()))
+            << what;
       }
     }
   }
