@@ -18,12 +18,15 @@
 // through the benchmark context (factorhd_simd_level).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/factorhd.hpp"
 #include "hdc/kernels/packed_item_memory.hpp"
+#include "hdc/kernels/plane.hpp"
 #include "hdc/kernels/simd.hpp"
 #include "hdc/packed.hpp"
 
@@ -178,30 +181,82 @@ BENCHMARK(BM_ScanDotsPacked)->Apply(scan_args);
 // items_per_second is per-query scan throughput and the Q=64 over Q=1 ratio
 // measures how well the blocked kernels amortize one codebook stream across
 // the block (the >= 3x acceptance bound at M=4096, D=8192).
+//
+// The memory adopts random bipolar planes directly, so the 65536 x 4096
+// point holds 32 MB of planes instead of a 1 GB int32 codebook. A noisy
+// query is a row with 20% of its signs flipped: bipolar, with most of its
+// mass past the first 512-dimension slab, so the pruned argmax's bound
+// keeps every row and the scan finishes on its full fallback pass.
 
 struct BlockScanFixture {
-  BlockScanFixture(std::size_t m, std::size_t dim, std::size_t q)
-      : rng(12), cb(dim, m, rng), memory(cb) {
+  enum class Queries {
+    kNoisy,  ///< bipolar row with 20% of its signs flipped
+    kRep1,   ///< unbound Rep-1 query: the row on a random 1/8 of the dims
+  };
+  BlockScanFixture(std::size_t m, std::size_t dim, std::size_t q,
+                   Queries kind = Queries::kNoisy)
+      : rng(12),
+        planes(random_planes(m, dim, rng)),
+        memory(hdc::kernels::PackedItemMemory::Layout::kBipolar, dim, m,
+               planes->data(), nullptr, planes) {
+    const std::size_t words = memory.words_per_row();
     queries.reserve(q);
     for (std::size_t i = 0; i < q; ++i) {
-      auto packed = hdc::kernels::PackedQuery::pack(
-          hdc::flip_noise(cb.item(i % m), 0.2, rng), memory.simd_level());
-      queries.push_back(std::move(*packed));
+      const std::uint64_t* row = planes->data() + (i % m) * words;
+      hdc::kernels::PackedQuery pq;
+      pq.dim = dim;
+      pq.bipolar = kind == Queries::kNoisy;
+      pq.sign.assign(row, row + words);
+      if (kind == Queries::kRep1) pq.nonzero.assign(words, 0);
+      for (std::size_t d = 0; d < dim; ++d) {
+        const std::uint64_t bit = 1ULL << (d % 64);
+        if (kind == Queries::kNoisy && rng.uniform_double() < 0.2) {
+          pq.sign[d / 64] ^= bit;
+        } else if (kind == Queries::kRep1 && rng.uniform_double() < 0.125) {
+          pq.nonzero[d / 64] |= bit;
+        }
+      }
+      if (kind == Queries::kRep1) {
+        for (std::size_t w = 0; w < words; ++w) pq.sign[w] &= pq.nonzero[w];
+      }
+      queries.push_back(std::move(pq));
     }
   }
+  // Uniform random sign planes with zero bits past `dim` in each last word.
+  static std::shared_ptr<std::vector<std::uint64_t>> random_planes(
+      std::size_t m, std::size_t dim, util::Xoshiro256& rng) {
+    const std::size_t words = hdc::kernels::plane_words(dim);
+    auto planes = std::make_shared<std::vector<std::uint64_t>>(m * words);
+    const std::uint64_t tail =
+        dim % 64 == 0 ? ~0ULL : (1ULL << (dim % 64)) - 1;
+    for (std::size_t i = 0; i < planes->size(); ++i) {
+      (*planes)[i] = rng() & (i % words == words - 1 ? tail : ~0ULL);
+    }
+    return planes;
+  }
   util::Xoshiro256 rng;
-  hdc::Codebook cb;
+  std::shared_ptr<std::vector<std::uint64_t>> planes;
   hdc::kernels::PackedItemMemory memory;
   std::vector<hdc::kernels::PackedQuery> queries;
 };
 
 void block_args(benchmark::internal::Benchmark* b) {
   // The smoke pair first (tiny dims, exercised by scripts/bench.sh --smoke),
-  // then the tracked M x Q sweep at the headline dimension.
+  // then the tracked M x Q sweep at the headline dimension, then the
+  // noise-query twin of BM_CleanupRep1's shape.
   for (long q : {1, 64}) b->Args({64, 256, q});
   for (long m : {64, 4096}) {
     for (long q : {1, 2, 3, 8, 33, 64}) b->Args({m, 8192, q});
   }
+  b->Args({65536, 4096, 16});
+}
+
+void block_counters(benchmark::State& state, std::size_t m, std::size_t dim,
+                    std::size_t q) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(q) *
+                          static_cast<std::int64_t>(m) *
+                          static_cast<std::int64_t>(dim));
 }
 
 void BM_ScanBlockPacked(benchmark::State& state) {
@@ -212,12 +267,28 @@ void BM_ScanBlockPacked(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.memory.best_block(fx.queries));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(q) *
-                          static_cast<std::int64_t>(m) *
-                          static_cast<std::int64_t>(dim));
+  block_counters(state, m, dim, q);
 }
 BENCHMARK(BM_ScanBlockPacked)->Apply(block_args);
+
+// --- Large-codebook cleanup: the pruned argmax on its own query shape -----
+// Arguments: (M, D, Q) = (65536, 4096, 16), the tiered_large class-0 shape.
+// The queries are unbound Rep-1 queries: zero on 7/8 of the dims and equal
+// to their true row elsewhere, so the slab bound drops every other row after
+// the first 512 dims. Compare with BM_ScanBlockPacked/65536/4096/16, the
+// same scan on noisy queries that keep every row.
+
+void BM_CleanupRep1(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  const auto q = static_cast<std::size_t>(state.range(2));
+  BlockScanFixture fx(m, dim, q, BlockScanFixture::Queries::kRep1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.memory.best_block(fx.queries));
+  }
+  block_counters(state, m, dim, q);
+}
+BENCHMARK(BM_CleanupRep1)->Args({65536, 4096, 16});
 
 // Forced-tier variants, registered from main() only for tiers this CPU can
 // execute (a forced ItemMemory construction throws otherwise).

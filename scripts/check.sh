@@ -16,8 +16,9 @@
 #                             # fuzz, batch, service soak, tiered
 #                             # snapshot/parallel build, shared-tier
 #                             # block scans, sharded scatter-gather,
-#                             # row-parallel codebook packing, network
-#                             # faults) only
+#                             # row-parallel codebook packing, the
+#                             # fork-join helper, threaded pruned argmax,
+#                             # network faults) only
 #
 # Extra arguments after the mode are forwarded to ctest.
 set -euo pipefail
@@ -53,7 +54,7 @@ case "${1:-}" in
     # metrics/trace plumbing, and the network front end's event loop +
     # admission queue over real sockets); everything else is
     # single-threaded.
-    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|TieredBlockConcurrency|ModelSnapshot|AdaptiveNprobe|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|CodebookPacking')
+    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|TieredBlockConcurrency|ModelSnapshot|AdaptiveNprobe|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|CodebookPacking|RowBlocks|PrunedScanThreads')
     ;;
 esac
 CTEST_ARGS+=("$@")

@@ -57,10 +57,18 @@ std::vector<FactorizeResult> BatchFactorizer::factorize_all(
     std::vector<std::thread> pool;
     pool.reserve(workers - 1);
     std::size_t begin = 0;
-    for (std::size_t w = 0; w + 1 < workers; ++w) {
-      const std::size_t end = begin + base + (w < extra ? 1 : 0);
-      pool.emplace_back(slice_work, begin, end);
-      begin = end;
+    try {
+      for (std::size_t w = 0; w + 1 < workers; ++w) {
+        const std::size_t end = begin + base + (w < extra ? 1 : 0);
+        pool.emplace_back(slice_work, begin, end);
+        begin = end;
+      }
+    } catch (...) {
+      // A failed spawn (thread-limit pressure) must not let the vector
+      // destructor run on joinable threads (std::terminate); join what
+      // started, then propagate.
+      for (auto& t : pool) t.join();
+      throw;
     }
     slice_work(begin, targets.size());
     for (auto& t : pool) t.join();
@@ -100,7 +108,14 @@ std::vector<FactorizeResult> BatchFactorizer::factorize_all(
 
   std::vector<std::thread> pool;
   pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
+  try {
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
+  } catch (...) {
+    // As above; the started workers stop at their next target.
+    failed.store(true);
+    for (auto& t : pool) t.join();
+    throw;
+  }
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
   return results;

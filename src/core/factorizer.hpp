@@ -187,12 +187,13 @@ class Factorizer {
   ///   forced hdc::ScanBackend::kPacked* values pin the packed kernels to
   ///   one SIMD tier (throwing when that tier is unavailable on this CPU) —
   ///   the knob the cross-backend differential tests run the whole
-  ///   Algorithm 1 pipeline on. Under kAuto, codebooks at/above
-  ///   FACTORHD_TIERED_MIN_ROWS rows additionally build the two-stage
-  ///   tiered index (hdc::ScanBackend::kTiered forces it), making full
-  ///   level-1 scans approximate; FactorizeOptions::exact_scan restores
-  ///   exact scans per call and stalled multi-object rounds re-scan
-  ///   exactly on their own.
+  ///   Algorithm 1 pipeline on. Level-1 argmax scans are exact and
+  ///   bound-pruned, so large codebooks stay exact by default. Only under
+  ///   a nonzero FACTORHD_TIERED_MIN_ROWS (default 0) do kAuto codebooks
+  ///   at/above it build the two-stage tiered index
+  ///   (hdc::ScanBackend::kTiered forces it), making full level-1 scans
+  ///   approximate; FactorizeOptions::exact_scan restores exact scans per
+  ///   call and stalled multi-object rounds re-scan exactly on their own.
   /// \throws std::invalid_argument When `backend` is kPacked but a codebook
   ///   is not packable (never the case for generated taxonomy codebooks),
   ///   or when a forced kPacked* SIMD level is unavailable on this CPU.

@@ -20,19 +20,25 @@
 // queries (e.g. the multi-object residual) transparently fall back to the
 // scalar loop per call. Copies share the immutable packed planes.
 //
+// The packed argmax (best / best_block) is bound-pruned on bipolar
+// codebooks: rows whose first-512-dimension partial dot plus the query's
+// remaining support cannot reach the best are never finished. It stays
+// exact, so it is not a separate backend; an unbound Rep-1 query over a
+// 65536-row codebook finishes about one row.
+//
 // A third, *approximate* backend exists for codebooks far beyond the paper's
 // sizes: kTiered routes full-codebook scans (best / above / top_k) through
 // kernels::TieredItemMemory, a two-stage coarse-quantization cascade that
 // scans cluster centroids first and runs the exact packed scan only over the
-// top-nprobe buckets. kAuto upgrades to it automatically at/above
-// FACTORHD_TIERED_MIN_ROWS rows (default 65536 — far beyond every paper
-// workload, so kAuto stays bit-exact there). Tiered scans can miss rows but
-// never mis-rank the rows they scan; per call, ScanMode::kExact forces the
-// exact packed path (the Factorizer's stall fallback), and the
-// index-restricted scans (best_among / above_among) and dots are always
-// exact. Query blocks (best_block) take a blocked route on both: one pass
-// over the codebook planes for exact scans, the tier's bucket-major
-// TieredItemMemory::best_block for tiered default scans.
+// top-nprobe buckets. kAuto upgrades to it only at/above a nonzero
+// FACTORHD_TIERED_MIN_ROWS (default 0, never, so kAuto stays bit-exact at
+// every size). Tiered scans can miss rows but never mis-rank the rows they
+// scan; per call, ScanMode::kExact forces the exact packed path (the
+// Factorizer's stall fallback), and the index-restricted scans
+// (best_among / above_among) and dots are always exact. Query blocks
+// (best_block) take a blocked route on both: the pruned argmax for exact
+// scans, the tier's bucket-major TieredItemMemory::best_block for tiered
+// default scans.
 #pragma once
 
 #include <atomic>
@@ -67,7 +73,8 @@ class PackedItemMemory;
 /// degrading silently.
 enum class ScanBackend {
   kAuto,    ///< packed when the codebook is bipolar/ternary, else scalar;
-            ///< additionally tiered at/above FACTORHD_TIERED_MIN_ROWS rows
+            ///< additionally tiered at/above a nonzero
+            ///< FACTORHD_TIERED_MIN_ROWS (default 0: never)
   kScalar,  ///< always the int32 dot-product loops
   kPacked,  ///< word-plane kernels at the dispatched SIMD level
   kPackedWords,   ///< word-plane kernels, forced scalar 64-bit word loops

@@ -1,12 +1,16 @@
 #include "hdc/kernels/packed_item_memory.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <exception>
+#include <bit>
+#include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
+#include "hdc/kernels/row_blocks.hpp"
 #include "util/env.hpp"
 
 namespace factorhd::hdc::kernels {
@@ -59,50 +63,6 @@ namespace {
 // the paper experiments (M <= a few hundred, D <= 8192) pack sequentially.
 constexpr std::size_t kParallelPackMinComponents = std::size_t{1} << 20;
 
-// Runs fn(begin, end) over fixed contiguous blocks of [0, n), one block per
-// worker, the first on the calling thread. Block boundaries depend only on n
-// and the worker count, and every caller writes a disjoint output slice per
-// block, so results are byte-identical for any worker count. An exception
-// from any block is rethrown once every thread has joined.
-template <typename Fn>
-void run_row_blocks(std::size_t n, std::size_t workers, const Fn& fn) {
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    if (n > 0) fn(std::size_t{0}, n);
-    return;
-  }
-  // Ceil division can leave fewer non-empty blocks than workers; stop at n
-  // rather than spawn idle threads.
-  const std::size_t chunk = (n + workers - 1) / workers;
-  const std::size_t blocks = (n + chunk - 1) / chunk;
-  std::vector<std::exception_ptr> errors(blocks);
-  const auto run = [&fn, &errors, chunk, n](std::size_t block) {
-    try {
-      fn(block * chunk, std::min(n, (block + 1) * chunk));
-    } catch (...) {
-      errors[block] = std::current_exception();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(blocks - 1);
-  try {
-    for (std::size_t block = 1; block < blocks; ++block) {
-      pool.emplace_back(run, block);
-    }
-  } catch (...) {
-    // A failed spawn (thread-limit pressure) must not let the vector
-    // destructor run on joinable threads (std::terminate); join what
-    // started, then propagate.
-    for (auto& t : pool) t.join();
-    throw;
-  }
-  run(0);
-  for (auto& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
 }  // namespace
 
 bool PackedItemMemory::packable(const Codebook& codebook) {
@@ -141,6 +101,33 @@ PackedItemMemory::PackedItemMemory(const Codebook& codebook,
   if (!owned_nonzero_.empty()) {
     layout_ = Layout::kTernary;
     nonzero_ = owned_nonzero_.data();
+  }
+  build_slab();
+}
+
+// The slab plane holds each bipolar row's first kSlabWords words (zero past
+// the row's width), interleaved kSlabLanes rows per block so the slab
+// kernel scores eight rows per vector without horizontal sums. It is a
+// contiguous copy: a strided read of the same words from the row-major
+// planes ran 1.4x slower.
+void PackedItemMemory::build_slab() {
+  slab_words_ = std::min(kSlabWords, words_);
+  if (layout_ != Layout::kBipolar) return;
+  const std::size_t blocks = (size_ + kSlabLanes - 1) / kSlabLanes;
+  slab_.assign(blocks * kSlabLanes * kSlabWords, 0);
+  for (std::size_t row = 0; row < size_; ++row) {
+    std::uint64_t* dst = slab_.data() + (row / kSlabLanes) * kSlabLanes *
+                                            kSlabWords +
+                         row % kSlabLanes;
+    for (std::size_t w = 0; w < slab_words_; ++w) {
+      dst[w * kSlabLanes] = sign_[row * words_ + w];
+    }
+  }
+  // A bipolar query is nonzero on every dimension the slab holds.
+  slab_mask_.fill(0);
+  for (std::size_t w = 0; w < slab_words_; ++w) {
+    const std::size_t bits = std::min(kWordBits, dim_ - w * kWordBits);
+    slab_mask_[w] = bits == kWordBits ? ~0ULL : (1ULL << bits) - 1;
   }
 }
 
@@ -217,6 +204,7 @@ PackedItemMemory::PackedItemMemory(Layout layout, std::size_t dim,
     throw std::invalid_argument(
         "PackedItemMemory: nonzero plane inconsistent with layout");
   }
+  build_slab();
 }
 
 std::size_t PackedItemMemory::storage_bits() const noexcept {
@@ -275,8 +263,10 @@ PackedQuery PackedItemMemory::pack_query(const Hypervector& query) const {
 
 Match PackedItemMemory::best(const PackedQuery& query) const {
   require_query(query);
-  // Strict > keeps the first (lowest-index) maximum, exactly like the scalar
-  // argmax loop; integer dots make the comparison tie-exact.
+  if (layout_ == Layout::kBipolar) return best_block({&query, 1}).front();
+  // Ternary-layout rows: the plain argmax. Strict > keeps the first
+  // (lowest-index) maximum, exactly like the scalar argmax loop; integer
+  // dots make the comparison tie-exact.
   if (scan_workers() > 1) {
     // Parallel path: materialize the dots (disjoint slices per worker), then
     // reduce sequentially in row order — same argmax, any thread count.
@@ -397,8 +387,33 @@ namespace {
 
 // Rows per blocked-scan chunk: bounds the per-chunk dots scratch to
 // queries * 2 KiB while leaving the QueryBlockKernels register tiles plenty
-// of rows to amortize each query visit over.
+// of rows to amortize each query visit over. The pruned argmax also keeps
+// one maximum partial per query and chunk, so its candidate walk skips
+// every chunk whose maximum is below the cut.
 constexpr std::size_t kBlockChunkRows = 256;
+
+// Queries per slab pass of the pruned argmax. A group keeps its int16
+// partials (group * size() * 2 bytes) cache-resident between the slab pass
+// and the candidate walk: at M = 65536 a 16-query group holds 2 MB, while
+// 128-query groups (16 MB) spilled the cache and ran ~2x slower per query.
+constexpr std::size_t kPruneGroup = 16;
+
+// One entry of a query's candidate walk.
+struct Candidate {
+  std::int16_t partial;
+  std::uint32_t row;
+};
+
+// Per-thread buffers of the slab pass and candidate walk, kept between
+// calls so a scan of a given shape allocates them once per thread; each is
+// rewritten before it is read. The fallback's buffers are per call: a
+// fallback pays a full scan, next to which its allocations are noise.
+struct PruneScratch {
+  std::vector<std::int16_t> part;       ///< group partials, query-major
+  std::vector<std::int16_t> chunk_max;  ///< (chunk, query) maxima
+  std::vector<Candidate> cand;
+};
+thread_local PruneScratch prune_scratch;
 
 }  // namespace
 
@@ -427,12 +442,235 @@ void PackedItemMemory::block_dots_range(const BlockView& view,
   const std::uint64_t* rows = sign_ + begin * words_;
   if (!view.bip.empty()) {
     kernels.bipolar_rows(view.bip.data(), view.bip.size(), rows, count, words_,
-                         dim_, scratch);
+                         words_, dim_, scratch);
   }
   if (!view.ter_nz.empty()) {
     kernels.ternary_rows(view.ter_nz.data(), view.ter_sg.data(),
-                         view.ter_nz.size(), rows, count, words_,
+                         view.ter_nz.size(), rows, count, words_, words_,
                          scratch + view.bip.size() * count);
+  }
+}
+
+std::int64_t PackedItemMemory::rest_support(
+    const PackedQuery& query) const noexcept {
+  if (query.bipolar) return static_cast<std::int64_t>(dim_ - slab_dim());
+  std::int64_t support = 0;
+  for (std::size_t w = slab_words_; w < words_; ++w) {
+    support += std::popcount(query.nonzero[w]);
+  }
+  return support;
+}
+
+// The exact bound-pruned argmax (see best() in the header), in three
+// passes:
+//   1. Slab pass, per group of kPruneGroup queries (best_group):
+//      QueryBlockKernels::slab_rows streams the slab plane once for the
+//      group, storing each partial dot as int16 and each (chunk, query)
+//      maximum.
+//   2. Candidate walk, per query (best_group): every |row_d| <= 1, so a
+//      row's dot is at most partial + rest, rest = Σ|q_d| over the dims past
+//      the slab. Rows are visited in descending partial order and each full
+//      dot raises the best; the walk stops at the first row whose
+//      partial + rest is below it — every row not yet visited is then
+//      strictly worse. Ties (d == best, lower row) are kept, so the
+//      lowest-index maximum wins as in the plain argmax.
+//   3. Fallback, once per block (finish_fallback): a query whose walk would
+//      visit more than size() / 8 rows (noise, or an all-zero query) keeps
+//      its partials and finishes on one blocked pass over words
+//      [slab_words_, words_) of every row — the plain argmax at the cost of
+//      a plain scan, with the rows streamed once for all such queries.
+// Passes 1 and 3 split their row chunks across the scan pool; each chunk
+// writes its own output slots and the merges run in row order, so the
+// results are the same at every worker count.
+void PackedItemMemory::best_group(std::span<const PackedQuery> block,
+                                  std::size_t first, Match* out,
+                                  std::vector<std::size_t>& fallback,
+                                  std::vector<std::int16_t>& fallback_part) const {
+  const std::span<const PackedQuery> queries =
+      block.subspan(first, std::min(kPruneGroup, block.size() - first));
+  const std::size_t nq = queries.size();
+  const QueryBlockKernels& kernels = query_block_kernels(level_);
+  const std::size_t chunks = (size_ + kBlockChunkRows - 1) / kBlockChunkRows;
+
+  // Pass 1: int16 partials, query-major, and per-chunk maxima, chunk-major.
+  std::array<std::uint64_t, kPruneGroup * kSlabWords> q_nz{};
+  std::array<std::uint64_t, kPruneGroup * kSlabWords> q_sg{};
+  for (std::size_t q = 0; q < nq; ++q) {
+    const PackedQuery& query = queries[q];
+    std::copy_n(query.sign.data(), slab_words_, &q_sg[q * kSlabWords]);
+    std::copy_n(query.bipolar ? slab_mask_.data() : query.nonzero.data(),
+                slab_words_, &q_nz[q * kSlabWords]);
+  }
+  PruneScratch& scratch = prune_scratch;
+  scratch.part.resize(std::max(scratch.part.size(), nq * size_));
+  scratch.chunk_max.resize(std::max(scratch.chunk_max.size(), chunks * nq));
+  std::int16_t* const part = scratch.part.data();
+  std::int16_t* const chunk_max = scratch.chunk_max.data();
+  run_row_blocks(chunks, scan_workers(), [&](std::size_t c_begin,
+                                             std::size_t c_end) {
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+      const std::size_t begin = c * kBlockChunkRows;
+      kernels.slab_rows(q_nz.data(), q_sg.data(), nq,
+                        slab_.data() + begin * kSlabWords,
+                        std::min(size_ - begin, kBlockChunkRows),
+                        part + begin, size_, chunk_max + c * nq);
+    }
+  });
+
+  // Pass 2: per-query candidate walk.
+  const std::size_t limit = std::max<std::size_t>(1, size_ / 8);
+  std::vector<Candidate>& cand = scratch.cand;
+  for (std::size_t q = 0; q < nq; ++q) {
+    const PackedQuery& query = queries[q];
+    const std::int64_t rest = rest_support(query);
+    const std::int16_t* p = part + q * size_;
+    // Rows with a partial in [cut, hi) are collected next; every row at or
+    // above hi has been visited already.
+    std::int64_t cut = INT16_MIN;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      cut = std::max<std::int64_t>(cut, chunk_max[c * nq + q]);
+    }
+    std::int64_t hi = INT64_MAX;
+    std::int64_t best_dot = INT64_MIN;
+    std::size_t best_row = 0;
+    std::size_t visited = 0;
+    bool too_many = false;
+    for (;;) {
+      cand.clear();
+      for (std::size_t c = 0; c < chunks && !too_many; ++c) {
+        if (chunk_max[c * nq + q] < cut) continue;
+        const std::size_t end = std::min(size_, (c + 1) * kBlockChunkRows);
+        for (std::size_t row = c * kBlockChunkRows; row < end; ++row) {
+          if (p[row] >= cut && p[row] < hi) {
+            cand.push_back({p[row], static_cast<std::uint32_t>(row)});
+          }
+        }
+        too_many = visited + cand.size() > limit;
+      }
+      if (too_many) break;
+      std::sort(cand.begin(), cand.end(),
+                [](const Candidate& a, const Candidate& b) {
+                  return a.partial != b.partial ? a.partial > b.partial
+                                                : a.row < b.row;
+                });
+      bool stopped = false;
+      for (const Candidate& k : cand) {
+        if (k.partial + rest < best_dot) {
+          stopped = true;
+          break;
+        }
+        const std::int64_t d = row_dot(k.row, query);
+        if (d > best_dot || (d == best_dot && k.row < best_row)) {
+          best_dot = d;
+          best_row = k.row;
+        }
+      }
+      visited += cand.size();
+      if (stopped) break;
+      // Every row at or above `cut` is visited; a row below best - rest
+      // cannot reach the best.
+      const std::int64_t next = best_dot - rest;
+      if (next >= cut) break;
+      if (next <= -static_cast<std::int64_t>(slab_dim()) &&
+          size_ - visited > limit) {
+        // No partial is below the new cut (noise: rest dwarfs the slab), so
+        // every unvisited row is a candidate; skip collecting them.
+        too_many = true;
+        break;
+      }
+      hi = cut;
+      cut = next;
+    }
+    if (too_many) {
+      // Room for every query left in the block up front: growing by
+      // doubling re-copied (and re-faulted) the partials several times.
+      if (fallback.empty()) {
+        fallback_part.reserve((block.size() - first - q) * size_);
+      }
+      fallback.push_back(first + q);
+      fallback_part.insert(fallback_part.end(), p, p + size_);
+    } else {
+      out[first + q] = {best_row, to_similarity(best_dot)};
+    }
+  }
+}
+
+void PackedItemMemory::finish_fallback(std::span<const PackedQuery> queries,
+                                       std::span<const std::size_t> fallback,
+                                       const std::int16_t* fallback_part,
+                                       Match* out) const {
+  // Kernel slots: bipolar queries first, as the output layout wants; slot s
+  // is fallback entry order[s].
+  const std::size_t nf = fallback.size();
+  std::vector<std::size_t> order(nf);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_partition(order.begin(), order.end(), [&](std::size_t f) {
+    return queries[fallback[f]].bipolar;
+  });
+  const QueryBlockKernels& kernels = query_block_kernels(level_);
+  const std::size_t chunks = (size_ + kBlockChunkRows - 1) / kBlockChunkRows;
+  const std::size_t rest_words = words_ - slab_words_;
+  std::vector<const std::uint64_t*> fb_bip, fb_nz, fb_sg;
+  for (const std::size_t f : order) {
+    const PackedQuery& query = queries[fallback[f]];
+    if (query.bipolar) {
+      fb_bip.push_back(query.sign.data() + slab_words_);
+    } else {
+      fb_nz.push_back(query.nonzero.data() + slab_words_);
+      fb_sg.push_back(query.sign.data() + slab_words_);
+    }
+  }
+  const std::size_t nfb = fb_bip.size();
+  std::vector<std::int64_t> chunk_dot(chunks * nf);
+  std::vector<std::size_t> chunk_row(chunks * nf);
+  run_row_blocks(chunks, scan_workers(), [&](std::size_t c_begin,
+                                             std::size_t c_end) {
+    // Suffix dots of one chunk, per thread and kept: a fresh buffer of this
+    // size (128 KB at 64 queries) is mapped and faulted in on every call.
+    thread_local std::vector<std::int64_t> dots;
+    dots.resize(std::max(dots.size(), nf * std::min(size_, kBlockChunkRows)));
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+      const std::size_t begin = c * kBlockChunkRows;
+      const std::size_t count = std::min(size_ - begin, kBlockChunkRows);
+      if (rest_words > 0) {
+        const std::uint64_t* rows = sign_ + begin * words_ + slab_words_;
+        if (nfb > 0) {
+          kernels.bipolar_rows(fb_bip.data(), nfb, rows, count, rest_words,
+                               words_, dim_ - slab_dim(), dots.data());
+        }
+        if (nf > nfb) {
+          kernels.ternary_rows(fb_nz.data(), fb_sg.data(), nf - nfb, rows,
+                               count, rest_words, words_,
+                               dots.data() + nfb * count);
+        }
+      }
+      for (std::size_t f = 0; f < nf; ++f) {
+        const std::int16_t* p = fallback_part + order[f] * size_ + begin;
+        const std::int64_t* d = dots.data() + f * count;
+        std::int64_t bd = INT64_MIN;
+        std::size_t br = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::int64_t dot = p[i] + (rest_words > 0 ? d[i] : 0);
+          if (dot > bd) {
+            bd = dot;
+            br = begin + i;
+          }
+        }
+        chunk_dot[c * nf + f] = bd;
+        chunk_row[c * nf + f] = br;
+      }
+    }
+  });
+  for (std::size_t f = 0; f < nf; ++f) {
+    std::int64_t bd = INT64_MIN;
+    std::size_t br = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      if (chunk_dot[c * nf + f] > bd) {
+        bd = chunk_dot[c * nf + f];
+        br = chunk_row[c * nf + f];
+      }
+    }
+    out[fallback[order[f]]] = {br, to_similarity(bd)};
   }
 }
 
@@ -441,89 +679,19 @@ std::vector<Match> PackedItemMemory::best_block(
   for (const PackedQuery& q : queries) require_query(q);
   const std::size_t nq = queries.size();
   std::vector<Match> out(nq);
-  if (nq == 0) return out;
   if (layout_ != Layout::kBipolar) {
     // Ternary-layout rows have no query-block kernel; the per-query scans
     // produce the same results without the amortization.
     for (std::size_t q = 0; q < nq; ++q) out[q] = best(queries[q]);
     return out;
   }
-  const BlockView view = make_block_view(queries);
-  const auto orig_index = [&view](std::size_t slot) {
-    return slot < view.bip_idx.size()
-               ? view.bip_idx[slot]
-               : view.ter_idx[slot - view.bip_idx.size()];
-  };
-  // Running per-slot argmax over ascending row chunks; INT64_MIN is below
-  // any dot in [-dim, dim], so strict > keeps the first (lowest-index)
-  // maximum exactly like the single-query loop.
-  const auto reduce_range = [this, &view, nq](std::size_t range_begin,
-                                              std::size_t range_end,
-                                              std::int64_t* best_dot,
-                                              std::size_t* best_row) {
-    std::vector<std::int64_t> scratch(
-        nq * std::min<std::size_t>(kBlockChunkRows, range_end - range_begin));
-    for (std::size_t begin = range_begin; begin < range_end;
-         begin += kBlockChunkRows) {
-      const std::size_t end = std::min(range_end, begin + kBlockChunkRows);
-      const std::size_t count = end - begin;
-      block_dots_range(view, begin, end, scratch.data());
-      for (std::size_t t = 0; t < nq; ++t) {
-        const std::int64_t* d = scratch.data() + t * count;
-        std::int64_t bd = best_dot[t];
-        std::size_t br = best_row[t];
-        for (std::size_t i = 0; i < count; ++i) {
-          if (d[i] > bd) {
-            bd = d[i];
-            br = begin + i;
-          }
-        }
-        best_dot[t] = bd;
-        best_row[t] = br;
-      }
-    }
-  };
-  const std::size_t workers = scan_workers();
-  std::vector<std::int64_t> best_dot(nq, INT64_MIN);
-  std::vector<std::size_t> best_row(nq, 0);
-  if (workers <= 1) {
-    reduce_range(0, size_, best_dot.data(), best_row.data());
-  } else {
-    // Contiguous fixed row ranges, one per worker; merging in ascending
-    // range order with strict > reproduces the sequential argmax for any
-    // pool width.
-    const std::size_t chunk = (size_ + workers - 1) / workers;
-    const std::size_t slots = (size_ + chunk - 1) / chunk;
-    std::vector<std::vector<std::int64_t>> wdot(
-        slots, std::vector<std::int64_t>(nq, INT64_MIN));
-    std::vector<std::vector<std::size_t>> wrow(
-        slots, std::vector<std::size_t>(nq, 0));
-    std::vector<std::thread> pool;
-    pool.reserve(slots);
-    try {
-      for (std::size_t s = 0; s < slots; ++s) {
-        const std::size_t begin = s * chunk;
-        const std::size_t end = std::min(size_, begin + chunk);
-        pool.emplace_back([&reduce_range, &wdot, &wrow, s, begin, end] {
-          reduce_range(begin, end, wdot[s].data(), wrow[s].data());
-        });
-      }
-    } catch (...) {
-      for (auto& t : pool) t.join();
-      throw;
-    }
-    for (auto& t : pool) t.join();
-    for (std::size_t s = 0; s < slots; ++s) {
-      for (std::size_t t = 0; t < nq; ++t) {
-        if (wdot[s][t] > best_dot[t]) {
-          best_dot[t] = wdot[s][t];
-          best_row[t] = wrow[s][t];
-        }
-      }
-    }
+  std::vector<std::size_t> fallback;
+  std::vector<std::int16_t> fallback_part;
+  for (std::size_t first = 0; first < nq; first += kPruneGroup) {
+    best_group(queries, first, out.data(), fallback, fallback_part);
   }
-  for (std::size_t t = 0; t < nq; ++t) {
-    out[orig_index(t)] = {best_row[t], to_similarity(best_dot[t])};
+  if (!fallback.empty()) {
+    finish_fallback(queries, fallback, fallback_part.data(), out.data());
   }
   return out;
 }
@@ -575,36 +743,21 @@ std::vector<std::vector<Match>> PackedItemMemory::top_k_block(
       }
     }
   };
-  const std::size_t workers = scan_workers();
+  // Each row block prunes its own lists, then appends them to the shared
+  // ones; the final selection is by the same total order, so the arrival
+  // order of the blocks cannot change the answer.
   std::vector<std::vector<Match>> cand(nq);
-  if (workers <= 1) {
-    reduce_range(0, size_, cand);
-  } else {
-    const std::size_t chunk = (size_ + workers - 1) / workers;
-    const std::size_t slots = (size_ + chunk - 1) / chunk;
-    std::vector<std::vector<std::vector<Match>>> wcand(
-        slots, std::vector<std::vector<Match>>(nq));
-    std::vector<std::thread> pool;
-    pool.reserve(slots);
-    try {
-      for (std::size_t s = 0; s < slots; ++s) {
-        const std::size_t begin = s * chunk;
-        const std::size_t end = std::min(size_, begin + chunk);
-        pool.emplace_back([&reduce_range, &wcand, s, begin, end] {
-          reduce_range(begin, end, wcand[s]);
-        });
-      }
-    } catch (...) {
-      for (auto& t : pool) t.join();
-      throw;
-    }
-    for (auto& t : pool) t.join();
-    for (std::size_t s = 0; s < slots; ++s) {
-      for (std::size_t t = 0; t < nq; ++t) {
-        cand[t].insert(cand[t].end(), wcand[s][t].begin(), wcand[s][t].end());
-      }
-    }
-  }
+  std::mutex merge;
+  run_row_blocks(size_, scan_workers(),
+                 [&](std::size_t begin, std::size_t end) {
+                   std::vector<std::vector<Match>> local(nq);
+                   reduce_range(begin, end, local);
+                   const std::lock_guard<std::mutex> lock(merge);
+                   for (std::size_t t = 0; t < nq; ++t) {
+                     cand[t].insert(cand[t].end(), local[t].begin(),
+                                    local[t].end());
+                   }
+                 });
   for (std::size_t t = 0; t < nq; ++t) {
     std::sort(cand[t].begin(), cand[t].end(), match_order);
     cand[t].resize(std::min(keep, cand[t].size()));

@@ -15,6 +15,11 @@
 // (tests/test_kernel_equivalence.cpp) asserts this across alphabets and at
 // dimensions that are not multiples of 64.
 //
+// The argmax (best / best_block) on bipolar codebooks is bound-pruned: it
+// scores every row's first 512 dimensions from a contiguous slab plane and
+// finishes only the rows that can still win (see best()). It stays exact;
+// the slab axis of tests/test_kernel_fuzz.cpp pins it to the unpruned scan.
+//
 // Word arithmetic runs on a runtime-dispatched SIMD tier (simd.hpp): the
 // scalar 64-bit word loops, AVX2, AVX-512, or NEON, selected per memory at
 // construction (CPUID-detected by default, overridable via FACTORHD_SIMD or
@@ -28,6 +33,8 @@
 // dispatches here when both the codebook and the query admit plane packing.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -158,6 +165,17 @@ class PackedItemMemory {
   // --- Scans over a pre-packed query (the ItemMemory hot path) ------------
 
   /// Argmax scan over the full codebook; first (lowest-index) maximum wins.
+  ///
+  /// On the bipolar layout the scan is bound-pruned and still exact. Every
+  /// row component is ±1, so a row's dot is at most its partial dot over
+  /// the first kSlabWords words (512 dims) plus rest = Σ|q_d| over the
+  /// other dims. Every row's partial is scored from the slab plane; rows
+  /// are then finished in descending partial order, stopping at the first
+  /// whose partial + rest is below the best dot found. Ties stay in, so the
+  /// result is the plain argmax. A query whose bound would keep more than
+  /// size() / 8 rows (a noisy bipolar query, an all-zero query) finishes on
+  /// one blocked pass over the remaining words of every row instead, at the
+  /// cost of a plain scan. Ternary-layout memories scan every row.
   /// \param query Packed query planes; `query.dim` must equal dim().
   /// \return Best match (index + similarity = dot / D).
   /// \throws std::invalid_argument On query dimension mismatch.
@@ -212,6 +230,8 @@ class PackedItemMemory {
   // the QueryBlockKernels loop nest (simd.hpp): row blocks stay
   // cache-resident while every query of the block visits them, so a grouped
   // batch streams the planes once per block instead of once per query.
+  // best_block runs the pruned argmax of best(): one slab pass per group of
+  // kPruneGroup (16) queries, and one fallback pass for the whole block.
   // Queries are grouped by alphabet internally (one kernel pass per
   // alphabet), so mixed blocks amortize too; ternary-layout codebooks fall
   // back to per-query scans (same results, no amortization). Results are
@@ -312,6 +332,31 @@ class PackedItemMemory {
   };
   [[nodiscard]] BlockView make_block_view(
       std::span<const PackedQuery> queries) const;
+  /// Slab pass and candidate walk of the bound-pruned argmax (bipolar
+  /// layout) for the group of at most kPruneGroup queries starting at block
+  /// index `first`: sets out[i] for every query i whose walk finishes, and
+  /// appends each other query's block index to `fallback` and its size()
+  /// slab partials to `fallback_part`, for finish_fallback.
+  void best_group(std::span<const PackedQuery> block, std::size_t first,
+                  Match* out, std::vector<std::size_t>& fallback,
+                  std::vector<std::int16_t>& fallback_part) const;
+  /// The plain argmax of the block's fallback queries, partial + suffix
+  /// dot, in one blocked pass over every row: out[fallback[f]] for each f,
+  /// with query f's partials at fallback_part[f * size()].
+  void finish_fallback(std::span<const PackedQuery> queries,
+                       std::span<const std::size_t> fallback,
+                       const std::int16_t* fallback_part, Match* out) const;
+  /// Dimensions the slab holds: min(dim(), kSlabWords * 64).
+  [[nodiscard]] std::size_t slab_dim() const noexcept {
+    return std::min(dim_, slab_words_ * kWordBits);
+  }
+  /// Σ|q_d| over the dimensions past the slab: the most any row's suffix
+  /// dot can add to its slab partial (every |row_d| <= 1).
+  [[nodiscard]] std::int64_t rest_support(
+      const PackedQuery& query) const noexcept;
+  /// Sets slab_words_ and, in bipolar layout, builds slab_ and slab_mask_.
+  /// Called by both constructors once sign_ and layout_ are final.
+  void build_slab();
   /// Runs the query-block kernels for rows [begin, end): fills
   /// scratch[t * (end - begin) + (row - begin)] for subgroup slot `t`
   /// (bipolar slots first, then ternary), mirroring BlockView order.
@@ -353,6 +398,16 @@ class PackedItemMemory {
   /// Plane storage built by the packing constructor (empty when adopted).
   std::vector<std::uint64_t> owned_sign_;
   std::vector<std::uint64_t> owned_nonzero_;
+  /// Words of each row the slab pass scores: min(kSlabWords, words_).
+  std::size_t slab_words_ = 0;
+  /// The slab plane (simd.hpp kSlabLanes layout): every row's first
+  /// slab_words_ words, zero-padded to kSlabWords words and a whole block.
+  /// Both the packing and the adoption path build it, size() * 64 bytes;
+  /// empty in ternary layout, which has no pruned scan.
+  std::vector<std::uint64_t> slab_;
+  /// Nonzero plane of a bipolar query over the slab: ones on the
+  /// dimensions the slab holds.
+  std::array<std::uint64_t, kSlabWords> slab_mask_{};
   /// Owner of adopted plane storage; null on the packing path.
   std::shared_ptr<const void> keepalive_;
 };

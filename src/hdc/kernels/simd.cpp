@@ -1,5 +1,6 @@
 #include "hdc/kernels/simd.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "hdc/kernels/plane.hpp"
@@ -90,18 +91,19 @@ constexpr DotKernels kScalarKernels{dot_bb_scalar, dot_bt_scalar,
 // vectorized batch loop must reproduce these integers exactly.
 
 void batch_bb_scalar(const std::uint64_t* query, const std::uint64_t* rows,
-                     std::size_t count, std::size_t words, std::size_t dim,
-                     std::int64_t* out) noexcept {
+                     std::size_t count, std::size_t words, std::size_t stride,
+                     std::size_t dim, std::int64_t* out) noexcept {
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = dot_bipolar_bipolar(query, rows + i * words, words, dim);
+    out[i] = dot_bipolar_bipolar(query, rows + i * stride, words, dim);
   }
 }
 
 void batch_bt_scalar(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
                      const std::uint64_t* rows, std::size_t count,
-                     std::size_t words, std::int64_t* out) noexcept {
+                     std::size_t words, std::size_t stride,
+                     std::int64_t* out) noexcept {
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = dot_bipolar_ternary(rows + i * words, q_nz, q_sg, words);
+    out[i] = dot_bipolar_ternary(rows + i * stride, q_nz, q_sg, words);
   }
 }
 
@@ -112,24 +114,54 @@ constexpr BatchDotKernels kScalarBatchKernels{batch_bb_scalar, batch_bt_scalar};
 
 void block_bb_scalar(const std::uint64_t* const* queries, std::size_t nq,
                      const std::uint64_t* rows, std::size_t count,
-                     std::size_t words, std::size_t dim,
+                     std::size_t words, std::size_t stride, std::size_t dim,
                      std::int64_t* out) noexcept {
   for (std::size_t q = 0; q < nq; ++q) {
-    batch_bb_scalar(queries[q], rows, count, words, dim, out + q * count);
+    batch_bb_scalar(queries[q], rows, count, words, stride, dim,
+                    out + q * count);
   }
 }
 
 void block_bt_scalar(const std::uint64_t* const* q_nz,
                      const std::uint64_t* const* q_sg, std::size_t nq,
                      const std::uint64_t* rows, std::size_t count,
-                     std::size_t words, std::int64_t* out) noexcept {
+                     std::size_t words, std::size_t stride,
+                     std::int64_t* out) noexcept {
   for (std::size_t q = 0; q < nq; ++q) {
-    batch_bt_scalar(q_nz[q], q_sg[q], rows, count, words, out + q * count);
+    batch_bt_scalar(q_nz[q], q_sg[q], rows, count, words, stride,
+                    out + q * count);
   }
 }
 
-constexpr QueryBlockKernels kScalarQueryBlockKernels{block_bb_scalar,
-                                                     block_bt_scalar};
+// Slab reference: one row, one query, one word at a time over the
+// interleaved plane. Every vectorized slab loop must reproduce it exactly.
+void slab_scalar(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
+                 std::size_t nq, const std::uint64_t* slab, std::size_t count,
+                 std::int16_t* out, std::size_t out_stride,
+                 std::int16_t* max_out) noexcept {
+  for (std::size_t q = 0; q < nq; ++q) {
+    const std::uint64_t* nz = q_nz + q * kSlabWords;
+    const std::uint64_t* sg = q_sg + q * kSlabWords;
+    int support = 0;
+    for (std::size_t w = 0; w < kSlabWords; ++w) support += std::popcount(nz[w]);
+    std::int16_t best = INT16_MIN;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t* row =
+          slab + (i / kSlabLanes) * kSlabWords * kSlabLanes + i % kSlabLanes;
+      int h = 0;
+      for (std::size_t w = 0; w < kSlabWords; ++w) {
+        h += std::popcount((row[w * kSlabLanes] ^ sg[w]) & nz[w]);
+      }
+      const auto partial = static_cast<std::int16_t>(support - 2 * h);
+      out[q * out_stride + i] = partial;
+      best = std::max(best, partial);
+    }
+    max_out[q] = best;
+  }
+}
+
+constexpr QueryBlockKernels kScalarQueryBlockKernels{
+    block_bb_scalar, block_bt_scalar, slab_scalar};
 
 #if FACTORHD_X86_SIMD
 
@@ -290,12 +322,13 @@ __attribute__((target("avx2"))) bool pack_planes_avx2(
 
 __attribute__((target("avx2"))) void batch_bb_avx2(
     const std::uint64_t* query, const std::uint64_t* rows, std::size_t count,
-    std::size_t words, std::size_t dim, std::int64_t* out) noexcept {
+    std::size_t words, std::size_t stride, std::size_t dim,
+    std::int64_t* out) noexcept {
   const auto sdim = static_cast<std::int64_t>(dim);
   std::size_t i = 0;
   for (; i + 2 <= count; i += 2) {
-    const std::uint64_t* r0 = rows + i * words;
-    const std::uint64_t* r1 = r0 + words;
+    const std::uint64_t* r0 = rows + i * stride;
+    const std::uint64_t* r1 = r0 + stride;
     __m256i acc0 = _mm256_setzero_si256();
     __m256i acc1 = _mm256_setzero_si256();
     std::size_t w = 0;
@@ -320,13 +353,13 @@ __attribute__((target("avx2"))) void batch_bb_avx2(
     out[i] = sdim - 2 * h0;
     out[i + 1] = sdim - 2 * h1;
   }
-  if (i < count) out[i] = dot_bb_avx2(query, rows + i * words, words, dim);
+  if (i < count) out[i] = dot_bb_avx2(query, rows + i * stride, words, dim);
 }
 
 __attribute__((target("avx2"))) void batch_bt_avx2(
     const std::uint64_t* q_nz, const std::uint64_t* q_sg,
     const std::uint64_t* rows, std::size_t count, std::size_t words,
-    std::int64_t* out) noexcept {
+    std::size_t stride, std::int64_t* out) noexcept {
   // The support term Σ popcount(q_nz) is row-independent: hoist it.
   std::int64_t support = 0;
   {
@@ -342,8 +375,8 @@ __attribute__((target("avx2"))) void batch_bt_avx2(
   }
   std::size_t i = 0;
   for (; i + 2 <= count; i += 2) {
-    const std::uint64_t* r0 = rows + i * words;
-    const std::uint64_t* r1 = r0 + words;
+    const std::uint64_t* r0 = rows + i * stride;
+    const std::uint64_t* r1 = r0 + stride;
     __m256i acc0 = _mm256_setzero_si256();
     __m256i acc1 = _mm256_setzero_si256();
     std::size_t w = 0;
@@ -376,7 +409,7 @@ __attribute__((target("avx2"))) void batch_bt_avx2(
     out[i] = support - 2 * d0;
     out[i + 1] = support - 2 * d1;
   }
-  if (i < count) out[i] = dot_bt_avx2(rows + i * words, q_nz, q_sg, words);
+  if (i < count) out[i] = dot_bt_avx2(rows + i * stride, q_nz, q_sg, words);
 }
 
 constexpr DotKernels kAVX2Kernels{dot_bb_avx2, dot_bt_avx2, dot_tt_avx2,
@@ -392,12 +425,12 @@ constexpr BatchDotKernels kAVX2BatchKernels{batch_bb_avx2, batch_bt_avx2};
 __attribute__((target("avx2"))) void block_bb_avx2(
     const std::uint64_t* const* queries, std::size_t nq,
     const std::uint64_t* rows, std::size_t count, std::size_t words,
-    std::size_t dim, std::int64_t* out) noexcept {
+    std::size_t stride, std::size_t dim, std::int64_t* out) noexcept {
   constexpr std::size_t kChunkRows = 64;
   for (std::size_t i = 0; i < count; i += kChunkRows) {
     const std::size_t c = std::min(kChunkRows, count - i);
     for (std::size_t q = 0; q < nq; ++q) {
-      batch_bb_avx2(queries[q], rows + i * words, c, words, dim,
+      batch_bb_avx2(queries[q], rows + i * stride, c, words, stride, dim,
                     out + q * count + i);
     }
   }
@@ -406,19 +439,60 @@ __attribute__((target("avx2"))) void block_bb_avx2(
 __attribute__((target("avx2"))) void block_bt_avx2(
     const std::uint64_t* const* q_nz, const std::uint64_t* const* q_sg,
     std::size_t nq, const std::uint64_t* rows, std::size_t count,
-    std::size_t words, std::int64_t* out) noexcept {
+    std::size_t words, std::size_t stride, std::int64_t* out) noexcept {
   constexpr std::size_t kChunkRows = 64;
   for (std::size_t i = 0; i < count; i += kChunkRows) {
     const std::size_t c = std::min(kChunkRows, count - i);
     for (std::size_t q = 0; q < nq; ++q) {
-      batch_bt_avx2(q_nz[q], q_sg[q], rows + i * words, c, words,
+      batch_bt_avx2(q_nz[q], q_sg[q], rows + i * stride, c, words, stride,
                     out + q * count + i);
     }
   }
 }
 
+// Slab loop: each 8-row block is two 4-row halves, one 256-bit vector per
+// half and word; a query's words are broadcast, so every lane accumulates
+// its own row's popcounts and no horizontal reduction is needed.
+__attribute__((target("avx2"))) void slab_avx2(
+    const std::uint64_t* q_nz, const std::uint64_t* q_sg, std::size_t nq,
+    const std::uint64_t* slab, std::size_t count, std::int16_t* out,
+    std::size_t out_stride, std::int16_t* max_out) noexcept {
+  for (std::size_t q = 0; q < nq; ++q) max_out[q] = INT16_MIN;
+  alignas(32) std::int64_t lanes[4];
+  for (std::size_t i = 0; i < count; i += 4) {
+    const std::uint64_t* blk =
+        slab + (i / kSlabLanes) * kSlabWords * kSlabLanes + i % kSlabLanes;
+    __m256i r[kSlabWords];
+    for (std::size_t w = 0; w < kSlabWords; ++w) {
+      r[w] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(blk + w * kSlabLanes));
+    }
+    const std::size_t valid = std::min<std::size_t>(4, count - i);
+    for (std::size_t q = 0; q < nq; ++q) {
+      const std::uint64_t* nz = q_nz + q * kSlabWords;
+      const std::uint64_t* sg = q_sg + q * kSlabWords;
+      __m256i acc = _mm256_setzero_si256();
+      std::int64_t support = 0;
+      for (std::size_t w = 0; w < kSlabWords; ++w) {
+        support += std::popcount(nz[w]);
+        const __m256i x = _mm256_and_si256(
+            _mm256_xor_si256(r[w], _mm256_set1_epi64x(
+                                       static_cast<long long>(sg[w]))),
+            _mm256_set1_epi64x(static_cast<long long>(nz[w])));
+        acc = _mm256_add_epi64(acc, popcount_epi64_avx2(x));
+      }
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+      std::int16_t* o = out + q * out_stride + i;
+      for (std::size_t j = 0; j < valid; ++j) {
+        o[j] = static_cast<std::int16_t>(support - 2 * lanes[j]);
+        max_out[q] = std::max(max_out[q], o[j]);
+      }
+    }
+  }
+}
+
 constexpr QueryBlockKernels kAVX2QueryBlockKernels{block_bb_avx2,
-                                                   block_bt_avx2};
+                                                   block_bt_avx2, slab_avx2};
 
 // --- AVX-512 tier -----------------------------------------------------------
 // Native 64-bit-lane popcount (VPOPCNTQ, requires AVX512VPOPCNTDQ) over 8
@@ -573,14 +647,15 @@ __attribute__((target("avx512f"))) inline __m512i hsum8_epi64_avx512(
 
 __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bb_avx512(
     const std::uint64_t* query, const std::uint64_t* rows, std::size_t count,
-    std::size_t words, std::size_t dim, std::int64_t* out) noexcept {
+    std::size_t words, std::size_t stride, std::size_t dim,
+    std::int64_t* out) noexcept {
   const auto sdim = static_cast<std::int64_t>(dim);
   const auto tail =
       static_cast<__mmask8>((1u << (words % 8)) - 1);  // 0 when words % 8 == 0
   std::size_t i = 0;
   const __m512i vdim = _mm512_set1_epi64(sdim);
   for (; i + 8 <= count; i += 8) {
-    const std::uint64_t* r = rows + i * words;
+    const std::uint64_t* r = rows + i * stride;
     __m512i acc[8] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
                       _mm512_setzero_si512(), _mm512_setzero_si512(),
                       _mm512_setzero_si512(), _mm512_setzero_si512(),
@@ -591,7 +666,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bb_avx512(
       for (std::size_t j = 0; j < 8; ++j) {
         acc[j] = _mm512_add_epi64(
             acc[j], _mm512_popcnt_epi64(_mm512_xor_si512(
-                        q, _mm512_loadu_si512(r + j * words + w))));
+                        q, _mm512_loadu_si512(r + j * stride + w))));
       }
     }
     if (w < words) {
@@ -599,7 +674,8 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bb_avx512(
       for (std::size_t j = 0; j < 8; ++j) {
         acc[j] = _mm512_add_epi64(
             acc[j], _mm512_popcnt_epi64(_mm512_xor_si512(
-                        q, _mm512_maskz_loadu_epi64(tail, r + j * words + w))));
+                        q,
+                        _mm512_maskz_loadu_epi64(tail, r + j * stride + w))));
       }
     }
     const __m512i h = hsum8_epi64_avx512(acc[0], acc[1], acc[2], acc[3],
@@ -608,8 +684,8 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bb_avx512(
                         _mm512_sub_epi64(vdim, _mm512_add_epi64(h, h)));
   }
   for (; i + 2 <= count; i += 2) {
-    const std::uint64_t* r0 = rows + i * words;
-    const std::uint64_t* r1 = r0 + words;
+    const std::uint64_t* r0 = rows + i * stride;
+    const std::uint64_t* r1 = r0 + stride;
     __m512i acc0 = _mm512_setzero_si512();
     __m512i acc1 = _mm512_setzero_si512();
     std::size_t w = 0;
@@ -634,13 +710,13 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bb_avx512(
     out[i] = sdim - 2 * _mm512_reduce_add_epi64(acc0);
     out[i + 1] = sdim - 2 * _mm512_reduce_add_epi64(acc1);
   }
-  if (i < count) out[i] = dot_bb_avx512(query, rows + i * words, words, dim);
+  if (i < count) out[i] = dot_bb_avx512(query, rows + i * stride, words, dim);
 }
 
 __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
     const std::uint64_t* q_nz, const std::uint64_t* q_sg,
     const std::uint64_t* rows, std::size_t count, std::size_t words,
-    std::int64_t* out) noexcept {
+    std::size_t stride, std::int64_t* out) noexcept {
   const auto tail = static_cast<__mmask8>((1u << (words % 8)) - 1);
   std::int64_t support = 0;
   {
@@ -659,7 +735,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
   std::size_t i = 0;
   const __m512i vsupport = _mm512_set1_epi64(support);
   for (; i + 8 <= count; i += 8) {
-    const std::uint64_t* r = rows + i * words;
+    const std::uint64_t* r = rows + i * stride;
     __m512i acc[8] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
                       _mm512_setzero_si512(), _mm512_setzero_si512(),
                       _mm512_setzero_si512(), _mm512_setzero_si512(),
@@ -672,7 +748,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
         acc[j] = _mm512_add_epi64(
             acc[j],
             _mm512_popcnt_epi64(_mm512_and_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(r + j * words + w), vs),
+                _mm512_xor_si512(_mm512_loadu_si512(r + j * stride + w), vs),
                 vn)));
       }
     }
@@ -683,7 +759,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
         acc[j] = _mm512_add_epi64(
             acc[j], _mm512_popcnt_epi64(_mm512_and_si512(
                         _mm512_xor_si512(
-                            _mm512_maskz_loadu_epi64(tail, r + j * words + w),
+                            _mm512_maskz_loadu_epi64(tail, r + j * stride + w),
                             vs),
                         vn)));
       }
@@ -694,8 +770,8 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
                         _mm512_sub_epi64(vsupport, _mm512_add_epi64(h, h)));
   }
   for (; i + 2 <= count; i += 2) {
-    const std::uint64_t* r0 = rows + i * words;
-    const std::uint64_t* r1 = r0 + words;
+    const std::uint64_t* r0 = rows + i * stride;
+    const std::uint64_t* r1 = r0 + stride;
     __m512i acc0 = _mm512_setzero_si512();
     __m512i acc1 = _mm512_setzero_si512();
     std::size_t w = 0;
@@ -726,7 +802,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
     out[i] = support - 2 * _mm512_reduce_add_epi64(acc0);
     out[i + 1] = support - 2 * _mm512_reduce_add_epi64(acc1);
   }
-  if (i < count) out[i] = dot_bt_avx512(rows + i * words, q_nz, q_sg, words);
+  if (i < count) out[i] = dot_bt_avx512(rows + i * stride, q_nz, q_sg, words);
 }
 
 constexpr DotKernels kAVX512Kernels{dot_bb_avx512, dot_bt_avx512,
@@ -745,12 +821,12 @@ constexpr BatchDotKernels kAVX512BatchKernels{batch_bb_avx512,
 __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bb_avx512(
     const std::uint64_t* const* queries, std::size_t nq,
     const std::uint64_t* rows, std::size_t count, std::size_t words,
-    std::size_t dim, std::int64_t* out) noexcept {
+    std::size_t stride, std::size_t dim, std::int64_t* out) noexcept {
   const __m512i vdim = _mm512_set1_epi64(static_cast<std::int64_t>(dim));
   const auto tail = static_cast<__mmask8>((1u << (words % 8)) - 1);
   std::size_t i = 0;
   for (; i + 8 <= count; i += 8) {
-    const std::uint64_t* r = rows + i * words;
+    const std::uint64_t* r = rows + i * stride;
     std::size_t q = 0;
     for (; q + 2 <= nq; q += 2) {
       const std::uint64_t* q0 = queries[q];
@@ -766,7 +842,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bb_avx512(
         const __m512i v0 = _mm512_loadu_si512(q0 + w);
         const __m512i v1 = _mm512_loadu_si512(q1 + w);
         for (std::size_t j = 0; j < 8; ++j) {
-          const __m512i rv = _mm512_loadu_si512(r + j * words + w);
+          const __m512i rv = _mm512_loadu_si512(r + j * stride + w);
           a0[j] = _mm512_add_epi64(
               a0[j], _mm512_popcnt_epi64(_mm512_xor_si512(v0, rv)));
           a1[j] = _mm512_add_epi64(
@@ -777,7 +853,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bb_avx512(
         const __m512i v0 = _mm512_maskz_loadu_epi64(tail, q0 + w);
         const __m512i v1 = _mm512_maskz_loadu_epi64(tail, q1 + w);
         for (std::size_t j = 0; j < 8; ++j) {
-          const __m512i rv = _mm512_maskz_loadu_epi64(tail, r + j * words + w);
+          const __m512i rv = _mm512_maskz_loadu_epi64(tail, r + j * stride + w);
           a0[j] = _mm512_add_epi64(
               a0[j], _mm512_popcnt_epi64(_mm512_xor_si512(v0, rv)));
           a1[j] = _mm512_add_epi64(
@@ -803,7 +879,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bb_avx512(
         for (std::size_t j = 0; j < 8; ++j) {
           acc[j] = _mm512_add_epi64(
               acc[j], _mm512_popcnt_epi64(_mm512_xor_si512(
-                          qv, _mm512_loadu_si512(r + j * words + w))));
+                          qv, _mm512_loadu_si512(r + j * stride + w))));
         }
       }
       if (w < words) {
@@ -812,7 +888,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bb_avx512(
           acc[j] = _mm512_add_epi64(
               acc[j],
               _mm512_popcnt_epi64(_mm512_xor_si512(
-                  qv, _mm512_maskz_loadu_epi64(tail, r + j * words + w))));
+                  qv, _mm512_maskz_loadu_epi64(tail, r + j * stride + w))));
         }
       }
       const __m512i h = hsum8_epi64_avx512(acc[0], acc[1], acc[2], acc[3],
@@ -823,8 +899,8 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bb_avx512(
   }
   if (i < count) {
     for (std::size_t q = 0; q < nq; ++q) {
-      batch_bb_avx512(queries[q], rows + i * words, count - i, words, dim,
-                      out + q * count + i);
+      batch_bb_avx512(queries[q], rows + i * stride, count - i, words, stride,
+                      dim, out + q * count + i);
     }
   }
 }
@@ -832,7 +908,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bb_avx512(
 __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
     const std::uint64_t* const* q_nz, const std::uint64_t* const* q_sg,
     std::size_t nq, const std::uint64_t* rows, std::size_t count,
-    std::size_t words, std::int64_t* out) noexcept {
+    std::size_t words, std::size_t stride, std::int64_t* out) noexcept {
   // The support term Σ popcount(q_nz) is row-independent; hoist it per query
   // into a fixed stack buffer, processing queries in groups so the kernel
   // stays allocation-free at any nq.
@@ -857,7 +933,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
     }
     std::size_t i = 0;
     for (; i + 8 <= count; i += 8) {
-      const std::uint64_t* r = rows + i * words;
+      const std::uint64_t* r = rows + i * stride;
       std::size_t t = 0;
       for (; t + 2 <= qn; t += 2) {
         const std::uint64_t* nz0 = q_nz[qb + t];
@@ -877,7 +953,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
           const __m512i vn1 = _mm512_loadu_si512(nz1 + w);
           const __m512i vs1 = _mm512_loadu_si512(sg1 + w);
           for (std::size_t j = 0; j < 8; ++j) {
-            const __m512i rv = _mm512_loadu_si512(r + j * words + w);
+            const __m512i rv = _mm512_loadu_si512(r + j * stride + w);
             a0[j] = _mm512_add_epi64(
                 a0[j], _mm512_popcnt_epi64(_mm512_and_si512(
                            _mm512_xor_si512(rv, vs0), vn0)));
@@ -893,7 +969,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
           const __m512i vs1 = _mm512_maskz_loadu_epi64(tail, sg1 + w);
           for (std::size_t j = 0; j < 8; ++j) {
             const __m512i rv =
-                _mm512_maskz_loadu_epi64(tail, r + j * words + w);
+                _mm512_maskz_loadu_epi64(tail, r + j * stride + w);
             a0[j] = _mm512_add_epi64(
                 a0[j], _mm512_popcnt_epi64(_mm512_and_si512(
                            _mm512_xor_si512(rv, vs0), vn0)));
@@ -926,7 +1002,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
             acc[j] = _mm512_add_epi64(
                 acc[j], _mm512_popcnt_epi64(_mm512_and_si512(
                             _mm512_xor_si512(
-                                _mm512_loadu_si512(r + j * words + w), vs),
+                                _mm512_loadu_si512(r + j * stride + w), vs),
                             vn)));
           }
         }
@@ -938,7 +1014,7 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
                 acc[j],
                 _mm512_popcnt_epi64(_mm512_and_si512(
                     _mm512_xor_si512(
-                        _mm512_maskz_loadu_epi64(tail, r + j * words + w), vs),
+                        _mm512_maskz_loadu_epi64(tail, r + j * stride + w), vs),
                     vn)));
           }
         }
@@ -951,15 +1027,75 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
     }
     if (i < count) {
       for (std::size_t t = 0; t < qn; ++t) {
-        batch_bt_avx512(q_nz[qb + t], q_sg[qb + t], rows + i * words,
-                        count - i, words, out + (qb + t) * count + i);
+        batch_bt_avx512(q_nz[qb + t], q_sg[qb + t], rows + i * stride,
+                        count - i, words, stride, out + (qb + t) * count + i);
       }
     }
   }
 }
 
-constexpr QueryBlockKernels kAVX512QueryBlockKernels{block_bb_avx512,
-                                                     block_bt_avx512};
+// Slab loop: one 512-bit vector holds word w of an 8-row block, so a
+// broadcast query word scores all eight rows at once and each lane keeps its
+// own row's running count — no horizontal reduction, which is what the
+// row-major blocked loops above spend most of their shuffle port on at
+// 8 words per row. The block's eight row vectors stay in registers while
+// every query visits them; (row ^ sign) & nonzero is one VPTERNLOGQ.
+__attribute__((target("avx512f,avx512vpopcntdq"))) void slab_avx512(
+    const std::uint64_t* q_nz, const std::uint64_t* q_sg, std::size_t nq,
+    const std::uint64_t* slab, std::size_t count, std::int16_t* out,
+    std::size_t out_stride, std::int16_t* max_out) noexcept {
+  // Running per-query maxima, in fixed stack groups so the kernel stays
+  // allocation-free at any nq.
+  constexpr std::size_t kGroup = 16;
+  for (std::size_t qb = 0; qb < nq; qb += kGroup) {
+    const std::size_t qn = std::min(kGroup, nq - qb);
+    std::int64_t support[kGroup];
+    __m512i vmax[kGroup];
+    for (std::size_t t = 0; t < qn; ++t) {
+      const std::uint64_t* nz = q_nz + (qb + t) * kSlabWords;
+      support[t] = _mm512_reduce_add_epi64(
+          _mm512_popcnt_epi64(_mm512_loadu_si512(nz)));
+      vmax[t] = _mm512_set1_epi64(INT16_MIN);
+    }
+    for (std::size_t i = 0; i < count; i += kSlabLanes) {
+      const std::uint64_t* blk = slab + (i / kSlabLanes) * kSlabWords *
+                                            kSlabLanes;
+      __m512i r[kSlabWords];
+      for (std::size_t w = 0; w < kSlabWords; ++w) {
+        r[w] = _mm512_loadu_si512(blk + w * kSlabLanes);
+      }
+      const std::size_t valid = std::min(kSlabLanes, count - i);
+      const auto m = static_cast<__mmask8>((1u << valid) - 1);
+      for (std::size_t t = 0; t < qn; ++t) {
+        const std::uint64_t* nz = q_nz + (qb + t) * kSlabWords;
+        const std::uint64_t* sg = q_sg + (qb + t) * kSlabWords;
+        __m512i acc = _mm512_setzero_si512();
+        for (std::size_t w = 0; w < kSlabWords; ++w) {
+          // 0x28 = (a ^ b) & c for a = sign, b = row, c = nonzero. The
+          // instruction overwrites its first operand, so that one is the
+          // fresh broadcast, not the row kept for the next query.
+          acc = _mm512_add_epi64(
+              acc, _mm512_popcnt_epi64(_mm512_ternarylogic_epi64(
+                       _mm512_set1_epi64(static_cast<long long>(sg[w])), r[w],
+                       _mm512_set1_epi64(static_cast<long long>(nz[w])),
+                       0x28)));
+        }
+        const __m512i p = _mm512_sub_epi64(_mm512_set1_epi64(support[t]),
+                                           _mm512_add_epi64(acc, acc));
+        vmax[t] = _mm512_mask_max_epi64(vmax[t], m, vmax[t], p);
+        _mm512_mask_cvtepi64_storeu_epi16(out + (qb + t) * out_stride + i, m,
+                                          p);
+      }
+    }
+    for (std::size_t t = 0; t < qn; ++t) {
+      max_out[qb + t] =
+          static_cast<std::int16_t>(_mm512_reduce_max_epi64(vmax[t]));
+    }
+  }
+}
+
+constexpr QueryBlockKernels kAVX512QueryBlockKernels{
+    block_bb_avx512, block_bt_avx512, slab_avx512};
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
@@ -1052,18 +1188,19 @@ constexpr DotKernels kNEONKernels{dot_bb_neon, dot_bt_neon, dot_tt_neon,
 // prefix dot; no two-row unroll until a target shows it pays.
 
 void batch_bb_neon(const std::uint64_t* query, const std::uint64_t* rows,
-                   std::size_t count, std::size_t words, std::size_t dim,
-                   std::int64_t* out) noexcept {
+                   std::size_t count, std::size_t words, std::size_t stride,
+                   std::size_t dim, std::int64_t* out) noexcept {
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = dot_bb_neon(query, rows + i * words, words, dim);
+    out[i] = dot_bb_neon(query, rows + i * stride, words, dim);
   }
 }
 
 void batch_bt_neon(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
                    const std::uint64_t* rows, std::size_t count,
-                   std::size_t words, std::int64_t* out) noexcept {
+                   std::size_t words, std::size_t stride,
+                   std::int64_t* out) noexcept {
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = dot_bt_neon(rows + i * words, q_nz, q_sg, words);
+    out[i] = dot_bt_neon(rows + i * stride, q_nz, q_sg, words);
   }
 }
 
@@ -1074,13 +1211,13 @@ constexpr BatchDotKernels kNEONBatchKernels{batch_bb_neon, batch_bt_neon};
 
 void block_bb_neon(const std::uint64_t* const* queries, std::size_t nq,
                    const std::uint64_t* rows, std::size_t count,
-                   std::size_t words, std::size_t dim,
+                   std::size_t words, std::size_t stride, std::size_t dim,
                    std::int64_t* out) noexcept {
   constexpr std::size_t kChunkRows = 64;
   for (std::size_t i = 0; i < count; i += kChunkRows) {
     const std::size_t c = std::min(kChunkRows, count - i);
     for (std::size_t q = 0; q < nq; ++q) {
-      batch_bb_neon(queries[q], rows + i * words, c, words, dim,
+      batch_bb_neon(queries[q], rows + i * stride, c, words, stride, dim,
                     out + q * count + i);
     }
   }
@@ -1089,19 +1226,22 @@ void block_bb_neon(const std::uint64_t* const* queries, std::size_t nq,
 void block_bt_neon(const std::uint64_t* const* q_nz,
                    const std::uint64_t* const* q_sg, std::size_t nq,
                    const std::uint64_t* rows, std::size_t count,
-                   std::size_t words, std::int64_t* out) noexcept {
+                   std::size_t words, std::size_t stride,
+                   std::int64_t* out) noexcept {
   constexpr std::size_t kChunkRows = 64;
   for (std::size_t i = 0; i < count; i += kChunkRows) {
     const std::size_t c = std::min(kChunkRows, count - i);
     for (std::size_t q = 0; q < nq; ++q) {
-      batch_bt_neon(q_nz[q], q_sg[q], rows + i * words, c, words,
+      batch_bt_neon(q_nz[q], q_sg[q], rows + i * stride, c, words, stride,
                     out + q * count + i);
     }
   }
 }
 
+// The slab loop runs the portable reference on NEON until a target
+// measures a vector version.
 constexpr QueryBlockKernels kNEONQueryBlockKernels{block_bb_neon,
-                                                   block_bt_neon};
+                                                   block_bt_neon, slab_scalar};
 
 #endif  // FACTORHD_NEON_SIMD
 

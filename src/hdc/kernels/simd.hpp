@@ -108,8 +108,11 @@ struct DotKernels {
 /// \return The tier's kernel set (static storage, never null).
 [[nodiscard]] const DotKernels& dot_kernels(SimdLevel level) noexcept;
 
-/// Batched one-query-against-many-rows dot kernels over a contiguous
-/// row-major plane buffer (`count` rows of `words` words each). The
+/// Batched one-query-against-many-rows dot kernels over a row-major plane
+/// buffer: `count` rows of `words` words each, row i starting at word
+/// i * `stride` (`stride` >= `words`; callers with contiguous rows pass
+/// `words`, a scan over a column range of wider rows passes the row width
+/// and offsets `rows` and the query planes to the range's first word). The
 /// DotKernels entries are tuned for long single dots; a k-means screen needs
 /// thousands of *short* prefix dots per row, where the per-call cost
 /// (indirect call, prologue, horizontal reduction) rivals the popcounts
@@ -119,22 +122,36 @@ struct DotKernels {
 /// levels (tests/test_kernel_equivalence.cpp pins this).
 struct BatchDotKernels {
   /// out[i] = bipolar×bipolar dot of `query` against row i
-  /// (= dim - 2 * hamming over `words` canonical-tail words).
+  /// (= dim - 2 * hamming over `words` words; `dim` counts the dimensions
+  /// those words hold, and bits past it must be zero in both operands).
   void (*bipolar_rows)(const std::uint64_t* query, const std::uint64_t* rows,
-                       std::size_t count, std::size_t words, std::size_t dim,
+                       std::size_t count, std::size_t words,
+                       std::size_t stride, std::size_t dim,
                        std::int64_t* out) noexcept;
   /// out[i] = dot of a ternary (nonzero, sign) query against bipolar row i.
   void (*ternary_rows)(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
                        const std::uint64_t* rows, std::size_t count,
-                       std::size_t words, std::int64_t* out) noexcept;
+                       std::size_t words, std::size_t stride,
+                       std::int64_t* out) noexcept;
 };
 
 /// Batch kernel table for `level`; same aliasing rule as dot_kernels().
 [[nodiscard]] const BatchDotKernels& batch_dot_kernels(
     SimdLevel level) noexcept;
 
-/// Multi-query blocked scan kernels: Q queries against a contiguous
-/// row-major bipolar plane buffer in ONE pass over the rows, GEMM-style.
+/// Words per row of a slab plane: the 512-dimension (one cache line)
+/// prefix the pruned argmax scores first.
+inline constexpr std::size_t kSlabWords = 8;
+
+/// Rows per interleaved block of a slab plane. Block b holds rows
+/// [8b, 8b + 8), word-major: row i's word w sits at
+/// slab[(i / 8) * 64 + w * 8 + i % 8], so one 512-bit load is word w of
+/// eight rows.
+inline constexpr std::size_t kSlabLanes = 8;
+
+/// Multi-query blocked scan kernels: Q queries against a row-major bipolar
+/// plane buffer (the BatchDotKernels `words` / `stride` geometry) in ONE
+/// pass over the rows, GEMM-style.
 ///
 /// The single-query batch loops above re-stream the whole codebook from
 /// memory for every query in a micro-batch; once the planes spill L2 that
@@ -152,14 +169,28 @@ struct QueryBlockKernels {
   /// out[q * count + i] = bipolar×bipolar dot of queries[q] against row i.
   void (*bipolar_rows)(const std::uint64_t* const* queries, std::size_t nq,
                        const std::uint64_t* rows, std::size_t count,
-                       std::size_t words, std::size_t dim,
+                       std::size_t words, std::size_t stride, std::size_t dim,
                        std::int64_t* out) noexcept;
   /// out[q * count + i] = dot of ternary query q (q_nz[q], q_sg[q] plane
   /// pairs) against bipolar row i.
   void (*ternary_rows)(const std::uint64_t* const* q_nz,
                        const std::uint64_t* const* q_sg, std::size_t nq,
                        const std::uint64_t* rows, std::size_t count,
-                       std::size_t words, std::int64_t* out) noexcept;
+                       std::size_t words, std::size_t stride,
+                       std::int64_t* out) noexcept;
+  /// Slab partials of the pruned argmax: nq queries in (nonzero, sign)
+  /// form against `count` rows of a slab plane (kSlabLanes-interleaved,
+  /// kSlabWords words per row, zero-padded to a whole block). Query q's
+  /// planes are q_nz[q * kSlabWords ..] and q_sg[q * kSlabWords ..]; a
+  /// bipolar query passes an all-ones nonzero mask over its dimensions.
+  /// Writes out[q * out_stride + i] = Σ_w popcount(nz_w) -
+  /// 2 Σ_w popcount((row_w ^ sg_w) & nz_w), the exact dot over the slab
+  /// (|value| <= 512), and max_out[q] = the largest of query q's `count`
+  /// values (INT16_MIN when count is 0).
+  void (*slab_rows)(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
+                    std::size_t nq, const std::uint64_t* slab,
+                    std::size_t count, std::int16_t* out,
+                    std::size_t out_stride, std::int16_t* max_out) noexcept;
 };
 
 /// Query-block kernel table for `level`; same aliasing rule as

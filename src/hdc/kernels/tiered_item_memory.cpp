@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "hdc/kernels/row_blocks.hpp"
 #include "util/env.hpp"
 
 namespace factorhd::hdc::kernels {
@@ -38,35 +38,6 @@ constexpr std::size_t kParallelAssignMinRows = 1024;
 // ~1e-3 while letting confident queries stop at the floor.
 constexpr double kAdaptiveMarginSigma = 3.0;
 
-// Runs fn(begin, end) over fixed contiguous blocks of [0, n), one block per
-// worker. Every call writes a disjoint output slice and each element depends
-// only on its own index, so the result is bit-identical for every worker
-// count (the same policy as PackedItemMemory::compute_dots). The first block
-// runs on the calling thread.
-template <typename Fn>
-void parallel_blocks(std::size_t n, std::size_t workers, const Fn& fn) {
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    if (n > 0) fn(std::size_t{0}, n);
-    return;
-  }
-  const std::size_t chunk = (n + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  try {
-    for (std::size_t begin = chunk; begin < n; begin += chunk) {
-      pool.emplace_back(fn, begin, std::min(n, begin + chunk));
-    }
-  } catch (...) {
-    // A failed spawn must not destroy joinable threads (std::terminate);
-    // join what started, then propagate.
-    for (auto& t : pool) t.join();
-    throw;
-  }
-  fn(std::size_t{0}, std::min(n, chunk));
-  for (auto& t : pool) t.join();
-}
-
 }  // namespace
 
 TieredConfig tiered_config_from_env() {
@@ -85,7 +56,7 @@ TieredConfig tiered_config_from_env() {
 }
 
 std::size_t tiered_auto_min_rows() {
-  return util::env_size_t("FACTORHD_TIERED_MIN_ROWS", 65536, 0,
+  return util::env_size_t("FACTORHD_TIERED_MIN_ROWS", 0, 0,
                           std::size_t{1} << 30);
 }
 
@@ -219,10 +190,10 @@ std::size_t TieredItemMemory::nearest_centroid_screened(
   const std::size_t prefix_dim = prefix_words * kWordBits;
   if (rows_->layout() == PackedItemMemory::Layout::kBipolar) {
     batch.bipolar_rows(sign, prefix_planes.data(), k, prefix_words,
-                       prefix_dim, prefix_dot.data());
+                       prefix_words, prefix_dim, prefix_dot.data());
   } else {
     batch.ternary_rows(rows_->row_nonzero(row).data(), sign,
-                       prefix_planes.data(), k, prefix_words,
+                       prefix_planes.data(), k, prefix_words, prefix_words,
                        prefix_dot.data());
   }
   // Survivor selection by dot histogram: prefix dots live in
@@ -357,7 +328,7 @@ void TieredItemMemory::build(const TieredConfig& config) {
                     &prefix_planes[c * screen_words]);
       }
     }
-    parallel_blocks(n, workers, [&](std::size_t begin, std::size_t end) {
+    run_row_blocks(n, workers, [&](std::size_t begin, std::size_t end) {
       if (screened) {
         // Per-worker scratch, reused across the block's rows.
         std::vector<std::int64_t> prefix_dot(k);
@@ -490,10 +461,11 @@ void TieredItemMemory::range_dots(const PackedQuery& query, std::size_t begin,
   if (rows_->layout() == PackedItemMemory::Layout::kBipolar) {
     const BatchDotKernels& batch = batch_dot_kernels(simd_level());
     if (query.bipolar) {
-      batch.bipolar_rows(query.sign.data(), sign, count, words, dim(), out);
+      batch.bipolar_rows(query.sign.data(), sign, count, words, words, dim(),
+                         out);
     } else {
       batch.ternary_rows(query.nonzero.data(), query.sign.data(), sign, count,
-                         words, out);
+                         words, words, out);
     }
     return;
   }
@@ -656,11 +628,11 @@ std::vector<Match> TieredItemMemory::best_block(
         const std::uint64_t* plane = bucket_sign_.data() + begin * words;
         if (!bip_sg.empty()) {
           kernels.bipolar_rows(bip_sg.data(), bip_sg.size(), plane, count,
-                               words, dim(), scratch.data());
+                               words, words, dim(), scratch.data());
         }
         if (!ter_nz.empty()) {
           kernels.ternary_rows(ter_nz.data(), ter_sg.data(), ter_nz.size(),
-                               plane, count, words,
+                               plane, count, words, words,
                                scratch.data() + bip_sg.size() * count);
         }
       } else {

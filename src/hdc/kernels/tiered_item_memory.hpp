@@ -120,8 +120,10 @@ struct TieredConfig {
 [[nodiscard]] TieredConfig tiered_config_from_env();
 
 /// Row-count threshold at/above which hdc::ItemMemory's kAuto backend builds
-/// the tiered index: FACTORHD_TIERED_MIN_ROWS (default 65536; 0 disables
-/// auto-tiering so kAuto never approximates). Read per call, not cached.
+/// the tiered index: FACTORHD_TIERED_MIN_ROWS (default 0, which disables
+/// auto-tiering so kAuto never approximates; the exact bound-pruned packed
+/// argmax is as fast as the tier on factorization queries). Read per call,
+/// not cached.
 [[nodiscard]] std::size_t tiered_auto_min_rows();
 
 class TieredItemMemory {

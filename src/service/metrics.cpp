@@ -216,23 +216,31 @@ void Metrics::merge(const Metrics& other) noexcept {
 }
 
 void Metrics::reset() noexcept {
-  // Downstream-first, mirroring snapshot()'s read order in reverse effect:
-  // clearing `completed` before `submitted` means a concurrent snapshot can
-  // see old submits with new (zero) completions — completed <= submitted
-  // holds — but never the inverted excess.
+  // Each counter loses the value it held when read instead of being zeroed,
+  // so increments that land while the reset runs survive it. `submitted` is
+  // read first and cleared last: a request counted downstream (completed,
+  // hit/miss, batch) after the reset either has its submit counted too or
+  // was already in flight when the reset began. Zeroing `completed` and then
+  // `submitted` lost every submit made in between while keeping their
+  // completions, so a fast writer could leave completed above submitted by
+  // more than the requests in flight.
+  const std::uint64_t submitted = submitted_.load(std::memory_order_acquire);
+  const auto clear = [](std::atomic<std::uint64_t>& c) {
+    c.fetch_sub(c.load(std::memory_order_acquire), std::memory_order_release);
+  };
   for (auto& h : stage_buckets_) {
     for (auto& b : h) b.store(0, std::memory_order_relaxed);
   }
   for (auto& b : latency_buckets_) b.store(0, std::memory_order_relaxed);
-  completed_.store(0, std::memory_order_release);
-  cache_hits_.store(0, std::memory_order_release);
-  cache_misses_.store(0, std::memory_order_release);
-  batches_.store(0, std::memory_order_release);
-  batched_requests_.store(0, std::memory_order_release);
-  coalesced_.store(0, std::memory_order_release);
+  clear(completed_);
+  clear(cache_hits_);
+  clear(cache_misses_);
+  clear(batches_);
+  clear(batched_requests_);
+  clear(coalesced_);
+  clear(rejected_);
   max_batch_.store(0, std::memory_order_release);
-  rejected_.store(0, std::memory_order_release);
-  submitted_.store(0, std::memory_order_release);
+  submitted_.fetch_sub(submitted, std::memory_order_release);
 }
 
 std::string MetricsSnapshot::to_string() const {

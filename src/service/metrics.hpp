@@ -140,10 +140,11 @@ class Metrics {
   void merge(const Metrics& other) noexcept;
 
   /// Zeroes every counter and histogram — the `stats reset` fresh epoch.
-  /// Counters are cleared downstream-first (completed before submitted),
-  /// so a concurrent snapshot keeps completed <= submitted; requests in
-  /// flight across the reset attribute their completion to the new epoch
-  /// (their submit was cleared), an accepted one-snapshot skew.
+  /// Each counter drops the value it held when read, `submitted` read first
+  /// and cleared last, so increments made during the reset survive it and
+  /// a snapshot taken after it keeps completed <= submitted + the requests
+  /// in flight when it began: those attribute their completion to the new
+  /// epoch (their submit was cleared), an accepted one-snapshot skew.
   void reset() noexcept;
 
   /// Histogram bucket for a latency: floor(log2(ns)), saturated into

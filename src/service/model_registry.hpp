@@ -30,10 +30,11 @@ namespace factorhd::service {
 ///
 /// \par Contract (build once, share everywhere)
 /// Construction is where every per-codebook index is paid for exactly
-/// once: the word-plane packing of each (class, level) codebook and — for
-/// codebooks at/above FACTORHD_TIERED_MIN_ROWS rows (or under an explicit
-/// hdc::ScanBackend::kTiered) — the tiered two-stage scan index
-/// (k-means clustering + packed centroids). After make() returns, the
+/// once: the word-plane packing of each (class, level) codebook, with the
+/// slab plane of its pruned argmax, and — only under an explicit
+/// hdc::ScanBackend::kTiered or a nonzero FACTORHD_TIERED_MIN_ROWS (default
+/// 0, never) — the tiered two-stage scan index (k-means clustering +
+/// packed centroids). After make() returns, the
 /// Model is deeply immutable, so any number of engines and sessions share
 /// one instance, packed planes and tier index included, through
 /// shared_ptr<const Model> with no further synchronization and no

@@ -85,8 +85,9 @@ std::span<const EnvKnob> env_knobs() {
        "results at any width)"},
       {"FACTORHD_TIERED_CLUSTERS", "0 (auto) .. 2^24", "0 = 4*ceil(sqrt(M))",
        "coarse bucket count K of the tiered (two-stage) scan index"},
-      {"FACTORHD_TIERED_MIN_ROWS", "0 (never) .. 2^30", "65536",
-       "codebook row count at which kAuto memories build the tiered index"},
+      {"FACTORHD_TIERED_MIN_ROWS", "0 (never) .. 2^30", "0",
+       "codebook row count at which kAuto memories build the (approximate) "
+       "tiered index; 0 keeps every kAuto scan exact"},
       {"FACTORHD_TIERED_NPROBE", "0 (auto) .. 2^24", "0 = max(1, K/16)",
        "buckets probed per tiered scan; >= K makes every scan exact"},
       {"FACTORHD_TIERED_NPROBE_MAX", "0 (off) .. 2^24", "0 = fixed nprobe",

@@ -320,13 +320,13 @@ TEST(KernelEquivalence, BatchDotKernelsMatchPerRowDotsAtEveryLevel) {
         if (!kernels::simd_level_available(level)) continue;
         const kernels::BatchDotKernels& batch = kernels::batch_dot_kernels(level);
         std::vector<std::int64_t> out(count, -12345);
-        batch.bipolar_rows(bq->sign.data(), rows.data(), count, words, dim,
-                           out.data());
+        batch.bipolar_rows(bq->sign.data(), rows.data(), count, words, words,
+                           dim, out.data());
         EXPECT_EQ(ref_b, out) << "bipolar_rows dim=" << dim << " count="
                               << count << " level=" << kernels::to_string(level);
         std::fill(out.begin(), out.end(), -12345);
         batch.ternary_rows(tq->nonzero.data(), tq->sign.data(), rows.data(),
-                           count, words, out.data());
+                           count, words, words, out.data());
         EXPECT_EQ(ref_t, out) << "ternary_rows dim=" << dim << " count="
                               << count << " level=" << kernels::to_string(level);
       }
@@ -346,14 +346,44 @@ TEST(KernelEquivalence, BatchDotKernelsMatchPerRowDotsAtEveryLevel) {
         ref_p[i] = kernels::dot_bipolar_bipolar(
             bq->sign.data(), prefix_rows.data() + i * words_p, words_p, dim_p);
       }
+      // The suffix words [words_p, words) read in place through the row
+      // stride: partial dots over a column range of the full planes, which
+      // add up with the prefix dots to the full dot.
+      std::vector<std::int64_t> ref_sb(count), ref_st(count), ref_pt(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        ref_sb[i] = ref_b[i] - ref_p[i];
+        ref_pt[i] = kernels::dot_bipolar_ternary(
+            prefix_rows.data() + i * words_p, tq->nonzero.data(),
+            tq->sign.data(), words_p);
+        ref_st[i] = ref_t[i] - ref_pt[i];
+      }
       for (const kernels::SimdLevel level : levels) {
         if (!kernels::simd_level_available(level)) continue;
+        SCOPED_TRACE(std::string("dim=") + std::to_string(dim) + " level=" +
+                     kernels::to_string(level));
+        const kernels::BatchDotKernels& batch = kernels::batch_dot_kernels(level);
         std::vector<std::int64_t> out(count, -12345);
-        kernels::batch_dot_kernels(level).bipolar_rows(
-            bq->sign.data(), prefix_rows.data(), count, words_p, dim_p,
-            out.data());
-        EXPECT_EQ(ref_p, out) << "prefix bipolar_rows dim=" << dim
-                              << " level=" << kernels::to_string(level);
+        batch.bipolar_rows(bq->sign.data(), prefix_rows.data(), count, words_p,
+                           words_p, dim_p, out.data());
+        EXPECT_EQ(ref_p, out) << "prefix bipolar_rows";
+        std::fill(out.begin(), out.end(), -12345);
+        batch.bipolar_rows(bq->sign.data(), rows.data(), count, words_p, words,
+                           dim_p, out.data());
+        EXPECT_EQ(ref_p, out) << "strided prefix bipolar_rows";
+        std::fill(out.begin(), out.end(), -12345);
+        batch.ternary_rows(tq->nonzero.data(), tq->sign.data(), rows.data(),
+                           count, words_p, words, out.data());
+        EXPECT_EQ(ref_pt, out) << "strided prefix ternary_rows";
+        std::fill(out.begin(), out.end(), -12345);
+        batch.bipolar_rows(bq->sign.data() + words_p, rows.data() + words_p,
+                           count, words - words_p, words, dim - dim_p,
+                           out.data());
+        EXPECT_EQ(ref_sb, out) << "strided suffix bipolar_rows";
+        std::fill(out.begin(), out.end(), -12345);
+        batch.ternary_rows(tq->nonzero.data() + words_p,
+                           tq->sign.data() + words_p, rows.data() + words_p,
+                           count, words - words_p, words, out.data());
+        EXPECT_EQ(ref_st, out) << "strided suffix ternary_rows";
       }
     }
   }

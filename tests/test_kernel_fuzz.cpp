@@ -26,12 +26,21 @@
 // probing mode and row layout, including degenerate clusterings with empty
 // buckets; and the contiguous best/above/top_k must equal the row-at-a-time
 // gather over the member lists they replaced (kept here as the oracle).
+//
+// The slab axis pins the bound-pruned argmax of PackedItemMemory::best /
+// best_block to the unpruned blocked scan (argmax over dots_block) on every
+// tier: planted ties below the first visited row, duplicates, all-zero
+// queries, an empty first slab, noise queries that take the fallback, a
+// stop inside the candidate walk, memories smaller than one query group,
+// dims 63/65/513/1000, and the threaded path of a memory at the pool
+// threshold. The slab kernel itself is checked against the scalar loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -837,6 +846,344 @@ TEST(KernelFuzz, EnvClampSelectsOnlyAvailableLevels) {
   EXPECT_EQ(clamp_simd_level(SimdLevel::kNEON, "avx2"), SimdLevel::kNEON);
   // The dispatched level is always executable on this CPU.
   EXPECT_TRUE(kernels::simd_level_available(kernels::dispatched_simd_level()));
+}
+
+// --- Pruned argmax: the slab axis ------------------------------------------
+// PackedItemMemory::best / best_block prune with the slab bound on
+// bipolar-layout memories. Every shape below must give exactly what the
+// unpruned blocked scan gives: index, similarity and tie order.
+
+// The unpruned blocked oracle: argmax over dots_block (one pass over every
+// full row, no bound), first maximum wins.
+std::vector<Match> unpruned_best(const kernels::PackedItemMemory& pm,
+                                 std::span<const PackedQuery> block) {
+  std::vector<std::int64_t> dots(block.size() * pm.size());
+  pm.dots_block(block, dots);
+  std::vector<Match> out;
+  for (std::size_t q = 0; q < block.size(); ++q) {
+    const std::int64_t* d = dots.data() + q * pm.size();
+    std::size_t best = 0;
+    for (std::size_t r = 1; r < pm.size(); ++r) {
+      if (d[r] > d[best]) best = r;
+    }
+    out.push_back({best, static_cast<double>(d[best]) /
+                             static_cast<double>(pm.dim())});
+  }
+  return out;
+}
+
+// `row` kept on a random support of density `keep`, zero elsewhere: the
+// shape of an unbound Rep-1 query, which equals its true row wherever the
+// other classes' clauses leave it nonzero.
+Hypervector rep1_query(const Hypervector& row, double keep, Xoshiro256& rng) {
+  Hypervector q(row.dim());
+  for (std::size_t i = 0; i < row.dim(); ++i) {
+    if (rng.uniform_double() < keep) q[i] = row[i];
+  }
+  return q;
+}
+
+// Negates the first `count` components of [begin, end) of `v` (all of them
+// when `count` is 0).
+Hypervector flip_range(Hypervector v, std::size_t begin, std::size_t end,
+                       std::size_t count) {
+  for (std::size_t i = begin, n = 0; i < end && (count == 0 || n < count);
+       ++i, ++n) {
+    v[i] = -v[i];
+  }
+  return v;
+}
+
+constexpr std::size_t kSlabDims = kernels::kSlabWords * kernels::kWordBits;
+
+// A bipolar codebook with duplicate rows and a planted tie: rows `low` <
+// `high` have the same dot with `tie_query`, but the lower row's slab
+// partial is smaller, so the descending-partial walk meets it second.
+struct SlabCase {
+  Codebook codebook;
+  Hypervector tie_query;
+  std::size_t low = 0;
+  std::size_t high = 0;
+};
+
+SlabCase make_slab_case(std::size_t dim, std::size_t size, Xoshiro256& rng) {
+  std::vector<Hypervector> rows;
+  for (std::size_t i = 0; i < size; ++i) {
+    // Every fourth row duplicates an earlier one.
+    rows.push_back(i >= 4 && i % 4 == 0 ? rows[rng.uniform(i)]
+                                        : random_bipolar(dim, rng));
+  }
+  SlabCase c{Codebook(std::vector<Hypervector>(rows)), random_bipolar(dim, rng),
+             0, 0};
+  if (size >= 2) {
+    c.low = rng.uniform(size - 1);
+    c.high = c.low + 1 + rng.uniform(size - 1 - c.low);
+    const std::size_t slab = std::min(dim, kSlabDims);
+    // Two flips inside the slab for the low row; two flips past it for the
+    // high row when the rows are wider than one slab, else also inside.
+    rows[c.low] = flip_range(c.tie_query, 0, slab, 2);
+    rows[c.high] = dim > kSlabDims + 2
+                       ? flip_range(c.tie_query, dim - 2, dim, 0)
+                       : flip_range(c.tie_query, slab - 2, slab, 0);
+    c.codebook = Codebook(std::move(rows));
+  }
+  return c;
+}
+
+// The slab-axis query pool over `cb`.
+std::vector<Hypervector> slab_queries(const SlabCase& sc, Xoshiro256& rng) {
+  const Codebook& cb = sc.codebook;
+  const std::size_t dim = cb.dim();
+  std::vector<Hypervector> qs;
+  const auto row = [&] { return cb.item(rng.uniform(cb.size())); };
+  qs.push_back(rep1_query(row(), 0.125, rng));       // unbound Rep-1
+  qs.push_back(rep1_query(row(), 0.5, rng));         // denser clause mask
+  qs.push_back(flip_noise(row(), 0.05, rng));        // bipolar, high sim
+  qs.push_back(row());                               // exact hit
+  qs.push_back(random_bipolar(dim, rng));            // noise: fallback
+  qs.push_back(random_ternary(dim, 0.5, rng));       // ternary noise
+  qs.push_back(Hypervector(dim));                    // all zero: row 0
+  Hypervector late = rep1_query(row(), 0.25, rng);   // empty first slab
+  for (std::size_t i = 0; i < std::min(dim, kSlabDims); ++i) late[i] = 0;
+  qs.push_back(std::move(late));
+  qs.push_back(sc.tie_query);                        // tie below the seed
+  return qs;
+}
+
+TEST(KernelFuzz, PrunedArgmaxMatchesUnprunedOracleOnEveryLevel) {
+  Xoshiro256 rng(20261020);
+  for (std::size_t dim : {std::size_t{63}, std::size_t{65}, std::size_t{513},
+                          std::size_t{1000}, std::size_t{2048}}) {
+    // Fewer rows than one query group, one chunk, and two chunks.
+    for (std::size_t size : {std::size_t{5}, std::size_t{40},
+                             std::size_t{300}}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " size=" + std::to_string(size));
+      const SlabCase sc = make_slab_case(dim, size, rng);
+      const std::vector<Hypervector> pool = slab_queries(sc, rng);
+      // Blocks of one group, of more than one group, and a ragged tail.
+      std::vector<Hypervector> qs;
+      for (std::size_t i = 0; i < 37; ++i) qs.push_back(pool[i % pool.size()]);
+      const ItemMemory scalar(sc.codebook, ScanBackend::kScalar);
+      for (SimdLevel level : available_levels()) {
+        SCOPED_TRACE(kernels::to_string(level));
+        const kernels::PackedItemMemory pm(sc.codebook, level);
+        ASSERT_EQ(pm.layout(), kernels::PackedItemMemory::Layout::kBipolar);
+        const std::vector<PackedQuery> block = pack_all(qs, level);
+        const std::vector<Match> want = unpruned_best(pm, block);
+        const std::vector<Match> got = pm.best_block(block);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < block.size(); ++i) {
+          SCOPED_TRACE("query " + std::to_string(i % pool.size()));
+          EXPECT_EQ(want[i].index, got[i].index);
+          EXPECT_EQ(want[i].similarity, got[i].similarity);
+          const Match one = pm.best(block[i]);
+          EXPECT_EQ(want[i].index, one.index);
+          EXPECT_EQ(want[i].similarity, one.similarity);
+          const Match ref = scalar.best(qs[i]);
+          EXPECT_EQ(ref.index, got[i].index);
+          EXPECT_EQ(ref.similarity, got[i].similarity);
+        }
+        // The planted tie resolves to the lower row; the zero query to row 0.
+        const std::size_t tie = pool.size() - 1;
+        if (size >= 2) {
+          EXPECT_EQ(got[tie].index, sc.low);
+        }
+        EXPECT_EQ(got[6].index, 0u);
+        EXPECT_EQ(got[6].similarity, 0.0);
+      }
+    }
+  }
+}
+
+TEST(KernelFuzz, PrunedWalkStopsAtTheBound) {
+  // The walk's stop inside a candidate list: row `top` has the highest
+  // slab partial but a poor full dot, row `win` the best dot, and row
+  // `cut` a partial just too low to reach `win` once it is scored.
+  Xoshiro256 rng(20261025);
+  for (std::size_t dim : {std::size_t{1000}, std::size_t{2048}}) {
+    const Hypervector q = random_bipolar(dim, rng);
+    std::vector<Hypervector> rows;
+    for (std::size_t i = 0; i < 64; ++i) rows.push_back(random_bipolar(dim, rng));
+    const std::size_t top = 40, win = 41, cut = 7;
+    rows[top] = flip_range(q, kSlabDims, dim, 60);  // partial 512, dot D-120
+    rows[win] = flip_range(q, 0, kSlabDims, 2);     // partial 508, dot D-4
+    rows[cut] = flip_range(flip_range(q, 0, kSlabDims, 4), kSlabDims, dim,
+                           30);                     // partial 504, dot D-68
+    const Codebook cb(std::move(rows));
+    for (SimdLevel level : available_levels()) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " " +
+                   kernels::to_string(level));
+      const kernels::PackedItemMemory pm(cb, level);
+      const std::vector<PackedQuery> block = pack_all({q}, level);
+      const Match got = pm.best(block[0]);
+      EXPECT_EQ(got.index, win);
+      EXPECT_EQ(got.index, unpruned_best(pm, block)[0].index);
+      EXPECT_EQ(got.similarity,
+                static_cast<double>(dim - 4) / static_cast<double>(dim));
+    }
+  }
+}
+
+TEST(KernelFuzz, PrunedItemMemoryKeepsScanAccountingAndScalarRoute) {
+  // Through ItemMemory: every forced tier returns the scalar backend's
+  // answer with scanned == size() per query (the paper's
+  // similarity-measurement unit does not shrink with the bound), and an
+  // integer bundle — which does not pack — still takes the scalar loop.
+  Xoshiro256 rng(20261021);
+  const SlabCase sc = make_slab_case(1000, 70, rng);
+  std::vector<Hypervector> qs = slab_queries(sc, rng);
+  const Hypervector bundle3 = bundle(
+      bundle(sc.codebook.item(3), sc.codebook.item(9)), sc.codebook.item(11));
+  ASSERT_FALSE(PackedQuery::pack(bundle3).has_value());
+  qs.push_back(bundle3);
+  const ItemMemory scalar(sc.codebook, ScanBackend::kScalar);
+  for (ScanBackend backend : packed_backends()) {
+    SCOPED_TRACE(backend_name(backend));
+    const ItemMemory packed(sc.codebook, backend);
+    std::vector<std::uint64_t> scanned(qs.size(), 0);
+    const std::vector<Match> got =
+        packed.best_block(qs, ScanMode::kDefault, scanned.data());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      std::uint64_t one = 0;
+      const Match ref = scalar.best(qs[i], ScanMode::kDefault, &one);
+      EXPECT_EQ(ref.index, got[i].index) << "query " << i;
+      EXPECT_EQ(ref.similarity, got[i].similarity) << "query " << i;
+      EXPECT_EQ(scanned[i], sc.codebook.size()) << "query " << i;
+      EXPECT_EQ(one, sc.codebook.size()) << "query " << i;
+    }
+  }
+}
+
+TEST(KernelFuzz, SlabKernelMatchesScalarOnEveryLevel) {
+  // QueryBlockKernels::slab_rows at every tier against the scalar loop and
+  // against DotKernels over the same words: full and partial 8-row blocks,
+  // query counts straddling the AVX-512 16-query group.
+  Xoshiro256 rng(20261023);
+  const SimdLevel ref_level = SimdLevel::kScalarWords;
+  for (std::size_t count : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                            std::size_t{9}, std::size_t{256}}) {
+    const std::size_t blocks = (count + kernels::kSlabLanes - 1) /
+                               kernels::kSlabLanes;
+    std::vector<std::uint64_t> slab(blocks * kernels::kSlabLanes *
+                                    kernels::kSlabWords);
+    for (std::uint64_t& w : slab) w = rng();
+    for (std::size_t nq : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
+      SCOPED_TRACE("count=" + std::to_string(count) +
+                   " nq=" + std::to_string(nq));
+      std::vector<std::uint64_t> nz(nq * kernels::kSlabWords);
+      std::vector<std::uint64_t> sg(nq * kernels::kSlabWords);
+      for (std::size_t i = 0; i < nz.size(); ++i) {
+        nz[i] = i % 3 == 0 ? ~0ULL : rng() & rng();  // bipolar and sparse
+        sg[i] = rng();
+      }
+      std::vector<std::int16_t> want(nq * count), want_max(nq);
+      kernels::query_block_kernels(ref_level)
+          .slab_rows(nz.data(), sg.data(), nq, slab.data(), count,
+                     want.data(), count, want_max.data());
+      for (std::size_t q = 0; q < nq; ++q) {
+        std::int16_t m = INT16_MIN;
+        for (std::size_t i = 0; i < count; ++i) {
+          std::uint64_t row[kernels::kSlabWords];
+          for (std::size_t w = 0; w < kernels::kSlabWords; ++w) {
+            row[w] = slab[(i / 8) * 64 + w * 8 + i % 8];
+          }
+          const std::int64_t d = kernels::dot_bipolar_ternary(
+              row, &nz[q * kernels::kSlabWords], &sg[q * kernels::kSlabWords],
+              kernels::kSlabWords);
+          EXPECT_EQ(d, want[q * count + i]);
+          m = std::max<std::int16_t>(m, static_cast<std::int16_t>(d));
+        }
+        EXPECT_EQ(m, want_max[q]);
+      }
+      for (SimdLevel level : available_levels()) {
+        SCOPED_TRACE(kernels::to_string(level));
+        // Padded output stride: each query writes only its own row span.
+        const std::size_t stride = count + 5;
+        std::vector<std::int16_t> got(nq * stride, 12345), got_max(nq);
+        kernels::query_block_kernels(level).slab_rows(
+            nz.data(), sg.data(), nq, slab.data(), count, got.data(), stride,
+            got_max.data());
+        for (std::size_t q = 0; q < nq; ++q) {
+          for (std::size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(want[q * count + i], got[q * stride + i]);
+          }
+          for (std::size_t i = count; i < stride; ++i) {
+            EXPECT_EQ(got[q * stride + i], 12345);
+          }
+          EXPECT_EQ(want_max[q], got_max[q]);
+        }
+      }
+    }
+  }
+}
+
+TEST(PrunedScanThreads, ThreadedPrunedArgmaxMatchesOracle) {
+  // A memory large enough that best / best_block split the slab pass and
+  // the fallback pass across the scan pool (at or above the SIMD tiers'
+  // parallel-scan threshold of 2^20 plane words) on a thread that is not a
+  // batch worker. Planes are adopted directly so the test never holds an
+  // int32 codebook of this size.
+  Xoshiro256 rng(20261024);
+  const std::size_t dim = 4096;
+  const std::size_t words = kernels::plane_words(dim);
+  const std::size_t size = (std::size_t{1} << 20) / words;
+  auto planes = std::make_shared<std::vector<std::uint64_t>>(size * words);
+  for (std::uint64_t& w : *planes) w = rng();
+  // Duplicate a few rows so ties occur across the pool's row blocks.
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::size_t from = rng.uniform(size / 2);
+    const std::size_t to = size / 2 + rng.uniform(size / 2);
+    std::copy_n(planes->data() + from * words, words,
+                planes->data() + to * words);
+  }
+  const auto row_hv = [&](std::size_t row) {
+    Hypervector v(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      v[i] = ((*planes)[row * words + i / 64] >> (i % 64)) & 1 ? 1 : -1;
+    }
+    return v;
+  };
+  std::vector<Hypervector> qs;
+  for (std::size_t i = 0; i < 6; ++i) {
+    qs.push_back(rep1_query(row_hv(rng.uniform(size)), 0.125, rng));
+  }
+  qs.push_back(random_bipolar(dim, rng));     // noise: threaded fallback
+  qs.push_back(random_ternary(dim, 0.5, rng));
+  qs.push_back(Hypervector(dim));
+  qs.push_back(flip_noise(row_hv(rng.uniform(size)), 0.2, rng));
+  // The same planes as the sign plane of a ternary layout (nonzero plane
+  // random), which keeps the plain threaded argmax.
+  auto nonzero = std::make_shared<std::vector<std::uint64_t>>(size * words);
+  for (std::uint64_t& w : *nonzero) w = rng() | rng();
+  std::vector<std::uint64_t> ternary_sign(*planes);
+  for (std::size_t i = 0; i < ternary_sign.size(); ++i) {
+    ternary_sign[i] &= (*nonzero)[i];  // canonical: sign only where nonzero
+  }
+  for (SimdLevel level : available_levels()) {
+    SCOPED_TRACE(kernels::to_string(level));
+    const kernels::PackedItemMemory pm(
+        kernels::PackedItemMemory::Layout::kBipolar, dim, size,
+        planes->data(), nullptr, planes, level);
+    const std::vector<PackedQuery> block = pack_all(qs, level);
+    const std::vector<Match> want = unpruned_best(pm, block);
+    const std::vector<Match> got = pm.best_block(block);
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      EXPECT_EQ(want[i].index, got[i].index) << "query " << i;
+      EXPECT_EQ(want[i].similarity, got[i].similarity) << "query " << i;
+      const Match one = pm.best(block[i]);
+      EXPECT_EQ(want[i].index, one.index) << "query " << i;
+    }
+    const kernels::PackedItemMemory ternary(
+        kernels::PackedItemMemory::Layout::kTernary, dim, size,
+        ternary_sign.data(), nonzero->data(), nonzero, level);
+    const std::vector<Match> want_t = unpruned_best(ternary, block);
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      const Match one = ternary.best(block[i]);
+      EXPECT_EQ(want_t[i].index, one.index) << "ternary query " << i;
+      EXPECT_EQ(want_t[i].similarity, one.similarity) << "ternary query " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "core/factorhd.hpp"
+#include "hdc/kernels/plane.hpp"
 #include "hdc/kernels/sharded_item_memory.hpp"
 #include "hdc/kernels/simd.hpp"
 #include "hdc/kernels/tiered_item_memory.hpp"
@@ -329,14 +330,18 @@ int cmd_info() {
   }
   std::cout << "\n";
 
-  // Tiered (two-stage) scan configuration as the env knobs resolve it.
+  // The exact argmax, and the tiered (two-stage) scan configuration as the
+  // env knobs resolve it.
+  std::cout << "exact argmax:    bound-pruned after a "
+            << hk::kSlabWords * hk::kWordBits
+            << "-dim slab on bipolar codebooks\n";
   const std::size_t tier_min = hk::tiered_auto_min_rows();
   const hk::TieredConfig tier_cfg = hk::tiered_config_from_env();
   std::cout << "tiered scans:    ";
   if (tier_min == 0) {
-    std::cout << "auto-tiering off (FACTORHD_TIERED_MIN_ROWS=0)";
+    std::cout << "auto-tiering off, scans exact (FACTORHD_TIERED_MIN_ROWS=0)";
   } else {
-    std::cout << "auto at >= " << tier_min << " rows";
+    std::cout << "auto at >= " << tier_min << " rows (approximate)";
   }
   std::cout << ", clusters="
             << (tier_cfg.clusters != 0 ? std::to_string(tier_cfg.clusters)
