@@ -5,6 +5,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -398,24 +399,37 @@ constexpr std::size_t kBlockChunkRows = 256;
 // 128-query groups (16 MB) spilled the cache and ran ~2x slower per query.
 constexpr std::size_t kPruneGroup = 16;
 
-// One entry of a query's candidate walk.
-struct Candidate {
-  std::int16_t partial;
-  std::uint32_t row;
-};
-
-// Per-thread buffers of the slab pass and candidate walk, kept between
-// calls so a scan of a given shape allocates them once per thread; each is
-// rewritten before it is read. The fallback's buffers are per call: a
-// fallback pays a full scan, next to which its allocations are noise.
-struct PruneScratch {
-  std::vector<std::int16_t> part;       ///< group partials, query-major
-  std::vector<std::int16_t> chunk_max;  ///< (chunk, query) maxima
-  std::vector<Candidate> cand;
-};
-thread_local PruneScratch prune_scratch;
-
 }  // namespace
+
+// Buffers of the bound-pruned argmax, one set per thread that calls
+// best_block, kept between calls so that scans of a given shape allocate
+// nothing after the first; each is rewritten before it is read.
+//
+// `part` holds partial slots of size() int16 each. Slots [0, nf) keep the
+// slab partials of the block's nf fallback queries so far, in fallback
+// order; a group's slab pass writes the slots after them, and its walk moves
+// each new fallback query down to the next free slot (a no-op when a whole
+// group falls back). The buffer grows only when a group needs more slots:
+// kPruneGroup slots (2 MB at M = 65536) while queries prune, up to one slot
+// per query of the largest all-noise block seen.
+struct PackedItemMemory::PruneScratch {
+  // One entry of a query's candidate walk.
+  struct Candidate {
+    std::int16_t partial;
+    std::uint32_t row;
+  };
+  std::unique_ptr<std::int16_t[]> part;
+  std::size_t part_capacity = 0;        ///< entries of `part`
+  std::vector<std::size_t> fallback;    ///< block index per fallback slot
+  std::vector<std::int16_t> chunk_max;  ///< a group's (chunk, query) maxima
+  std::vector<Candidate> cand;
+  // finish_fallback:
+  std::vector<std::size_t> order;  ///< kernel slot -> fallback slot
+  std::vector<const std::uint64_t*> fb_bip, fb_nz, fb_sg;
+  std::vector<std::int64_t> dots;  ///< per row block: suffix dots of a chunk
+  std::vector<std::int64_t> chunk_dot;
+  std::vector<std::size_t> chunk_row;
+};
 
 PackedItemMemory::BlockView PackedItemMemory::make_block_view(
     std::span<const PackedQuery> queries) const {
@@ -473,10 +487,11 @@ std::int64_t PackedItemMemory::rest_support(
 //      dot raises the best; the walk stops at the first row whose
 //      partial + rest is below it — every row not yet visited is then
 //      strictly worse. Ties (d == best, lower row) are kept, so the
-//      lowest-index maximum wins as in the plain argmax.
+//      lowest-index maximum wins as in the plain argmax. With rest = 0
+//      every dot is its partial, and the first top-partial row is taken.
 //   3. Fallback, once per block (finish_fallback): a query whose walk would
-//      visit more than size() / 8 rows (noise, or an all-zero query) keeps
-//      its partials and finishes on one blocked pass over words
+//      visit more than size() / 8 rows (noise) keeps its partials in its
+//      slot and finishes on one blocked pass over words
 //      [slab_words_, words_) of every row — the plain argmax at the cost of
 //      a plain scan, with the rows streamed once for all such queries.
 // Passes 1 and 3 split their row chunks across the scan pool; each chunk
@@ -484,13 +499,24 @@ std::int64_t PackedItemMemory::rest_support(
 // results are the same at every worker count.
 void PackedItemMemory::best_group(std::span<const PackedQuery> block,
                                   std::size_t first, Match* out,
-                                  std::vector<std::size_t>& fallback,
-                                  std::vector<std::int16_t>& fallback_part) const {
+                                  PruneScratch& scratch) const {
   const std::span<const PackedQuery> queries =
       block.subspan(first, std::min(kPruneGroup, block.size() - first));
   const std::size_t nq = queries.size();
   const QueryBlockKernels& kernels = query_block_kernels(level_);
   const std::size_t chunks = (size_ + kBlockChunkRows - 1) / kBlockChunkRows;
+
+  // The group's partials go to the slots after the kept fallback slots.
+  const std::size_t kept = scratch.fallback.size() * size_;
+  if (kept + nq * size_ > scratch.part_capacity) {
+    const std::size_t capacity =
+        std::max(kept + nq * size_, 2 * scratch.part_capacity);
+    auto grown = std::make_unique_for_overwrite<std::int16_t[]>(capacity);
+    std::copy_n(scratch.part.get(), kept, grown.get());
+    scratch.part = std::move(grown);
+    scratch.part_capacity = capacity;
+  }
+  std::int16_t* const part = scratch.part.get() + kept;
 
   // Pass 1: int16 partials, query-major, and per-chunk maxima, chunk-major.
   std::array<std::uint64_t, kPruneGroup * kSlabWords> q_nz{};
@@ -501,10 +527,7 @@ void PackedItemMemory::best_group(std::span<const PackedQuery> block,
     std::copy_n(query.bipolar ? slab_mask_.data() : query.nonzero.data(),
                 slab_words_, &q_nz[q * kSlabWords]);
   }
-  PruneScratch& scratch = prune_scratch;
-  scratch.part.resize(std::max(scratch.part.size(), nq * size_));
   scratch.chunk_max.resize(std::max(scratch.chunk_max.size(), chunks * nq));
-  std::int16_t* const part = scratch.part.data();
   std::int16_t* const chunk_max = scratch.chunk_max.data();
   run_row_blocks(chunks, scan_workers(), [&](std::size_t c_begin,
                                              std::size_t c_end) {
@@ -519,7 +542,7 @@ void PackedItemMemory::best_group(std::span<const PackedQuery> block,
 
   // Pass 2: per-query candidate walk.
   const std::size_t limit = std::max<std::size_t>(1, size_ / 8);
-  std::vector<Candidate>& cand = scratch.cand;
+  std::vector<PruneScratch::Candidate>& cand = scratch.cand;
   for (std::size_t q = 0; q < nq; ++q) {
     const PackedQuery& query = queries[q];
     const std::int64_t rest = rest_support(query);
@@ -529,6 +552,18 @@ void PackedItemMemory::best_group(std::span<const PackedQuery> block,
     std::int64_t cut = INT16_MIN;
     for (std::size_t c = 0; c < chunks; ++c) {
       cut = std::max<std::int64_t>(cut, chunk_max[c * nq + q]);
+    }
+    if (rest == 0) {
+      // No support past the slab (every dim is in it, or the query is zero
+      // there): each dot is its partial, so the first row at the top
+      // partial is the argmax.
+      std::size_t row = 0;
+      while (chunk_max[row / kBlockChunkRows * nq + q] != cut) {
+        row += kBlockChunkRows;
+      }
+      while (p[row] != cut) ++row;
+      out[first + q] = {row, to_similarity(cut)};
+      continue;
     }
     std::int64_t hi = INT64_MAX;
     std::int64_t best_dot = INT64_MIN;
@@ -549,12 +584,13 @@ void PackedItemMemory::best_group(std::span<const PackedQuery> block,
       }
       if (too_many) break;
       std::sort(cand.begin(), cand.end(),
-                [](const Candidate& a, const Candidate& b) {
+                [](const PruneScratch::Candidate& a,
+                   const PruneScratch::Candidate& b) {
                   return a.partial != b.partial ? a.partial > b.partial
                                                 : a.row < b.row;
                 });
       bool stopped = false;
-      for (const Candidate& k : cand) {
+      for (const PruneScratch::Candidate& k : cand) {
         if (k.partial + rest < best_dot) {
           stopped = true;
           break;
@@ -582,13 +618,12 @@ void PackedItemMemory::best_group(std::span<const PackedQuery> block,
       cut = next;
     }
     if (too_many) {
-      // Room for every query left in the block up front: growing by
-      // doubling re-copied (and re-faulted) the partials several times.
-      if (fallback.empty()) {
-        fallback_part.reserve((block.size() - first - q) * size_);
-      }
-      fallback.push_back(first + q);
-      fallback_part.insert(fallback_part.end(), p, p + size_);
+      // Keep the partials in the next fallback slot; slots only move down,
+      // so this never overwrites a later query's partials.
+      std::int16_t* const slot =
+          scratch.part.get() + scratch.fallback.size() * size_;
+      if (slot != p) std::copy_n(p, size_, slot);
+      scratch.fallback.push_back(first + q);
     } else {
       out[first + q] = {best_row, to_similarity(best_dot)};
     }
@@ -596,68 +631,68 @@ void PackedItemMemory::best_group(std::span<const PackedQuery> block,
 }
 
 void PackedItemMemory::finish_fallback(std::span<const PackedQuery> queries,
-                                       std::span<const std::size_t> fallback,
-                                       const std::int16_t* fallback_part,
+                                       PruneScratch& scratch,
                                        Match* out) const {
-  // Kernel slots: bipolar queries first, as the output layout wants; slot s
-  // is fallback entry order[s].
+  // Kernel slots: bipolar queries first, as the output layout wants; kernel
+  // slot s is fallback slot order[s].
+  const std::vector<std::size_t>& fallback = scratch.fallback;
   const std::size_t nf = fallback.size();
-  std::vector<std::size_t> order(nf);
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(nf);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_partition(order.begin(), order.end(), [&](std::size_t f) {
     return queries[fallback[f]].bipolar;
   });
   const QueryBlockKernels& kernels = query_block_kernels(level_);
   const std::size_t chunks = (size_ + kBlockChunkRows - 1) / kBlockChunkRows;
+  const std::size_t chunk_rows = std::min(size_, kBlockChunkRows);
+  // A query with no support past the slab never falls back (best_group
+  // takes its top partial), so there are always suffix words to score.
   const std::size_t rest_words = words_ - slab_words_;
-  std::vector<const std::uint64_t*> fb_bip, fb_nz, fb_sg;
+  scratch.fb_bip.clear();
+  scratch.fb_nz.clear();
+  scratch.fb_sg.clear();
   for (const std::size_t f : order) {
     const PackedQuery& query = queries[fallback[f]];
     if (query.bipolar) {
-      fb_bip.push_back(query.sign.data() + slab_words_);
+      scratch.fb_bip.push_back(query.sign.data() + slab_words_);
     } else {
-      fb_nz.push_back(query.nonzero.data() + slab_words_);
-      fb_sg.push_back(query.sign.data() + slab_words_);
+      scratch.fb_nz.push_back(query.nonzero.data() + slab_words_);
+      scratch.fb_sg.push_back(query.sign.data() + slab_words_);
     }
   }
-  const std::size_t nfb = fb_bip.size();
-  std::vector<std::int64_t> chunk_dot(chunks * nf);
-  std::vector<std::size_t> chunk_row(chunks * nf);
-  run_row_blocks(chunks, scan_workers(), [&](std::size_t c_begin,
-                                             std::size_t c_end) {
-    // Suffix dots of one chunk, per thread and kept: a fresh buffer of this
-    // size (128 KB at 64 queries) is mapped and faulted in on every call.
-    thread_local std::vector<std::int64_t> dots;
-    dots.resize(std::max(dots.size(), nf * std::min(size_, kBlockChunkRows)));
+  const std::size_t nfb = scratch.fb_bip.size();
+  const std::size_t workers = scan_workers();
+  const std::size_t per_block = nf * chunk_rows;
+  scratch.dots.resize(std::max(scratch.dots.size(),
+                               row_block_count(chunks, workers) * per_block));
+  scratch.chunk_dot.resize(std::max(scratch.chunk_dot.size(), chunks * nf));
+  scratch.chunk_row.resize(std::max(scratch.chunk_row.size(), chunks * nf));
+  const std::int16_t* const fallback_part = scratch.part.get();
+  std::int64_t* const chunk_dot = scratch.chunk_dot.data();
+  std::size_t* const chunk_row = scratch.chunk_row.data();
+  run_row_blocks(chunks, workers, [&](std::size_t block, std::size_t c_begin,
+                                      std::size_t c_end) {
+    std::int64_t* const dots = scratch.dots.data() + block * per_block;
     for (std::size_t c = c_begin; c < c_end; ++c) {
       const std::size_t begin = c * kBlockChunkRows;
       const std::size_t count = std::min(size_ - begin, kBlockChunkRows);
-      if (rest_words > 0) {
-        const std::uint64_t* rows = sign_ + begin * words_ + slab_words_;
-        if (nfb > 0) {
-          kernels.bipolar_rows(fb_bip.data(), nfb, rows, count, rest_words,
-                               words_, dim_ - slab_dim(), dots.data());
-        }
-        if (nf > nfb) {
-          kernels.ternary_rows(fb_nz.data(), fb_sg.data(), nf - nfb, rows,
-                               count, rest_words, words_,
-                               dots.data() + nfb * count);
-        }
+      const std::uint64_t* rows = sign_ + begin * words_ + slab_words_;
+      if (nfb > 0) {
+        kernels.bipolar_rows(scratch.fb_bip.data(), nfb, rows, count,
+                             rest_words, words_, dim_ - slab_dim(), dots);
+      }
+      if (nf > nfb) {
+        kernels.ternary_rows(scratch.fb_nz.data(), scratch.fb_sg.data(),
+                             nf - nfb, rows, count, rest_words, words_,
+                             dots + nfb * count);
       }
       for (std::size_t f = 0; f < nf; ++f) {
-        const std::int16_t* p = fallback_part + order[f] * size_ + begin;
-        const std::int64_t* d = dots.data() + f * count;
-        std::int64_t bd = INT64_MIN;
-        std::size_t br = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-          const std::int64_t dot = p[i] + (rest_words > 0 ? d[i] : 0);
-          if (dot > bd) {
-            bd = dot;
-            br = begin + i;
-          }
-        }
-        chunk_dot[c * nf + f] = bd;
-        chunk_row[c * nf + f] = br;
+        std::size_t at = 0;
+        kernels.partial_argmax(fallback_part + order[f] * size_ + begin,
+                               dots + f * count, count, &chunk_dot[c * nf + f],
+                               &at);
+        chunk_row[c * nf + f] = begin + at;
       }
     }
   });
@@ -685,14 +720,12 @@ std::vector<Match> PackedItemMemory::best_block(
     for (std::size_t q = 0; q < nq; ++q) out[q] = best(queries[q]);
     return out;
   }
-  std::vector<std::size_t> fallback;
-  std::vector<std::int16_t> fallback_part;
+  thread_local PruneScratch scratch;
+  scratch.fallback.clear();
   for (std::size_t first = 0; first < nq; first += kPruneGroup) {
-    best_group(queries, first, out.data(), fallback, fallback_part);
+    best_group(queries, first, out.data(), scratch);
   }
-  if (!fallback.empty()) {
-    finish_fallback(queries, fallback, fallback_part.data(), out.data());
-  }
+  if (!scratch.fallback.empty()) finish_fallback(queries, scratch, out.data());
   return out;
 }
 

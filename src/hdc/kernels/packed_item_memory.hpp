@@ -172,10 +172,11 @@ class PackedItemMemory {
   /// other dims. Every row's partial is scored from the slab plane; rows
   /// are then finished in descending partial order, stopping at the first
   /// whose partial + rest is below the best dot found. Ties stay in, so the
-  /// result is the plain argmax. A query whose bound would keep more than
-  /// size() / 8 rows (a noisy bipolar query, an all-zero query) finishes on
-  /// one blocked pass over the remaining words of every row instead, at the
-  /// cost of a plain scan. Ternary-layout memories scan every row.
+  /// result is the plain argmax. A query with no support past the slab
+  /// takes the top partial directly. A query whose bound would keep more
+  /// than size() / 8 rows (a noisy bipolar query) finishes on one blocked
+  /// pass over the remaining words of every row instead, at the cost of a
+  /// plain scan. Ternary-layout memories scan every row.
   /// \param query Packed query planes; `query.dim` must equal dim().
   /// \return Best match (index + similarity = dot / D).
   /// \throws std::invalid_argument On query dimension mismatch.
@@ -332,20 +333,21 @@ class PackedItemMemory {
   };
   [[nodiscard]] BlockView make_block_view(
       std::span<const PackedQuery> queries) const;
+  /// Per-thread buffers of the bound-pruned argmax (defined with it).
+  struct PruneScratch;
   /// Slab pass and candidate walk of the bound-pruned argmax (bipolar
   /// layout) for the group of at most kPruneGroup queries starting at block
   /// index `first`: sets out[i] for every query i whose walk finishes, and
-  /// appends each other query's block index to `fallback` and its size()
-  /// slab partials to `fallback_part`, for finish_fallback.
+  /// appends each other query's block index to scratch.fallback, keeping
+  /// its size() slab partials in the partial slot of the same position, for
+  /// finish_fallback.
   void best_group(std::span<const PackedQuery> block, std::size_t first,
-                  Match* out, std::vector<std::size_t>& fallback,
-                  std::vector<std::int16_t>& fallback_part) const;
+                  Match* out, PruneScratch& scratch) const;
   /// The plain argmax of the block's fallback queries, partial + suffix
-  /// dot, in one blocked pass over every row: out[fallback[f]] for each f,
-  /// with query f's partials at fallback_part[f * size()].
+  /// dot, in one blocked pass over every row: out[scratch.fallback[f]] for
+  /// each fallback slot f.
   void finish_fallback(std::span<const PackedQuery> queries,
-                       std::span<const std::size_t> fallback,
-                       const std::int16_t* fallback_part, Match* out) const;
+                       PruneScratch& scratch, Match* out) const;
   /// Dimensions the slab holds: min(dim(), kSlabWords * 64).
   [[nodiscard]] std::size_t slab_dim() const noexcept {
     return std::min(dim_, slab_words_ * kWordBits);

@@ -160,8 +160,25 @@ void slab_scalar(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
   }
 }
 
+// Fallback-merge reference: the plain first-maximum loop.
+void partial_argmax_scalar(const std::int16_t* partial,
+                           const std::int64_t* suffix, std::size_t count,
+                           std::int64_t* value, std::size_t* index) noexcept {
+  std::int64_t best = INT64_MIN;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::int64_t v = partial[i] + suffix[i];
+    if (v > best) {
+      best = v;
+      at = i;
+    }
+  }
+  *value = best;
+  *index = at;
+}
+
 constexpr QueryBlockKernels kScalarQueryBlockKernels{
-    block_bb_scalar, block_bt_scalar, slab_scalar};
+    block_bb_scalar, block_bt_scalar, slab_scalar, partial_argmax_scalar};
 
 #if FACTORHD_X86_SIMD
 
@@ -491,8 +508,58 @@ __attribute__((target("avx2"))) void slab_avx2(
   }
 }
 
-constexpr QueryBlockKernels kAVX2QueryBlockKernels{block_bb_avx2,
-                                                   block_bt_avx2, slab_avx2};
+// Fallback merge in two passes: a vector maximum over two independent
+// accumulators (one compare-and-blend chain is latency-bound), then the
+// first lane equal to it. The scalar loop's single cmov chain ran at about
+// 1 ns per row.
+__attribute__((target("avx2"))) inline __m256i partial_sum4_avx2(
+    const std::int16_t* partial, const std::int64_t* suffix) noexcept {
+  return _mm256_add_epi64(
+      _mm256_cvtepi16_epi64(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(partial))),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(suffix)));
+}
+
+__attribute__((target("avx2"))) void partial_argmax_avx2(
+    const std::int16_t* partial, const std::int64_t* suffix,
+    std::size_t count, std::int64_t* value, std::size_t* index) noexcept {
+  __m256i m0 = _mm256_set1_epi64x(INT64_MIN);
+  __m256i m1 = m0;
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m256i x0 = partial_sum4_avx2(partial + i, suffix + i);
+    const __m256i x1 = partial_sum4_avx2(partial + i + 4, suffix + i + 4);
+    m0 = _mm256_blendv_epi8(m0, x0, _mm256_cmpgt_epi64(x0, m0));
+    m1 = _mm256_blendv_epi8(m1, x1, _mm256_cmpgt_epi64(x1, m1));
+  }
+  m0 = _mm256_blendv_epi8(m0, m1, _mm256_cmpgt_epi64(m1, m0));
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), m0);
+  std::int64_t best = std::max(std::max(lanes[0], lanes[1]),
+                               std::max(lanes[2], lanes[3]));
+  for (std::size_t j = i; j < count; ++j) {
+    best = std::max<std::int64_t>(best, partial[j] + suffix[j]);
+  }
+  const __m256i vb = _mm256_set1_epi64x(best);
+  std::size_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    const __m256i x = partial_sum4_avx2(partial + j, suffix + j);
+    const int eq =
+        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(x, vb)));
+    if (eq != 0) {
+      *value = best;
+      *index = j + static_cast<std::size_t>(std::countr_zero(
+                       static_cast<unsigned>(eq)));
+      return;
+    }
+  }
+  while (partial[j] + suffix[j] != best) ++j;
+  *value = best;
+  *index = j;
+}
+
+constexpr QueryBlockKernels kAVX2QueryBlockKernels{
+    block_bb_avx2, block_bt_avx2, slab_avx2, partial_argmax_avx2};
 
 // --- AVX-512 tier -----------------------------------------------------------
 // Native 64-bit-lane popcount (VPOPCNTQ, requires AVX512VPOPCNTDQ) over 8
@@ -1094,8 +1161,52 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void slab_avx512(
   }
 }
 
+// Fallback merge: as the AVX2 loop, eight rows per vector and VPMAXSQ.
+__attribute__((target("avx512f"))) inline __m512i partial_sum8_avx512(
+    const std::int16_t* partial, const std::int64_t* suffix) noexcept {
+  return _mm512_add_epi64(
+      _mm512_cvtepi16_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(partial))),
+      _mm512_loadu_si512(suffix));
+}
+
+__attribute__((target("avx512f"))) void partial_argmax_avx512(
+    const std::int16_t* partial, const std::int64_t* suffix,
+    std::size_t count, std::int64_t* value, std::size_t* index) noexcept {
+  __m512i m0 = _mm512_set1_epi64(INT64_MIN);
+  __m512i m1 = m0;
+  std::size_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    m0 = _mm512_max_epi64(m0, partial_sum8_avx512(partial + i, suffix + i));
+    m1 = _mm512_max_epi64(m1,
+                          partial_sum8_avx512(partial + i + 8, suffix + i + 8));
+  }
+  for (; i + 8 <= count; i += 8) {
+    m0 = _mm512_max_epi64(m0, partial_sum8_avx512(partial + i, suffix + i));
+  }
+  std::int64_t best = _mm512_reduce_max_epi64(_mm512_max_epi64(m0, m1));
+  for (std::size_t j = i; j < count; ++j) {
+    best = std::max<std::int64_t>(best, partial[j] + suffix[j]);
+  }
+  const __m512i vb = _mm512_set1_epi64(best);
+  std::size_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    const __m512i x = partial_sum8_avx512(partial + j, suffix + j);
+    const __mmask8 eq = _mm512_cmpeq_epi64_mask(x, vb);
+    if (eq != 0) {
+      *value = best;
+      *index = j + static_cast<std::size_t>(std::countr_zero(
+                       static_cast<unsigned>(eq)));
+      return;
+    }
+  }
+  while (partial[j] + suffix[j] != best) ++j;
+  *value = best;
+  *index = j;
+}
+
 constexpr QueryBlockKernels kAVX512QueryBlockKernels{
-    block_bb_avx512, block_bt_avx512, slab_avx512};
+    block_bb_avx512, block_bt_avx512, slab_avx512, partial_argmax_avx512};
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
@@ -1238,10 +1349,10 @@ void block_bt_neon(const std::uint64_t* const* q_nz,
   }
 }
 
-// The slab loop runs the portable reference on NEON until a target
-// measures a vector version.
-constexpr QueryBlockKernels kNEONQueryBlockKernels{block_bb_neon,
-                                                   block_bt_neon, slab_scalar};
+// The slab loop and the fallback merge run the portable references on NEON
+// until a target measures vector versions.
+constexpr QueryBlockKernels kNEONQueryBlockKernels{
+    block_bb_neon, block_bt_neon, slab_scalar, partial_argmax_scalar};
 
 #endif  // FACTORHD_NEON_SIMD
 

@@ -191,6 +191,12 @@ struct QueryBlockKernels {
                     std::size_t nq, const std::uint64_t* slab,
                     std::size_t count, std::int16_t* out,
                     std::size_t out_stride, std::int16_t* max_out) noexcept;
+  /// The pruned argmax's fallback merge: the first maximum of
+  /// partial[i] + suffix[i] over i < count (count >= 1). Writes the maximum
+  /// to *value and the lowest index holding it to *index.
+  void (*partial_argmax)(const std::int16_t* partial,
+                         const std::int64_t* suffix, std::size_t count,
+                         std::int64_t* value, std::size_t* index) noexcept;
 };
 
 /// Query-block kernel table for `level`; same aliasing rule as

@@ -223,7 +223,9 @@ void Metrics::reset() noexcept {
   // was already in flight when the reset began. Zeroing `completed` and then
   // `submitted` lost every submit made in between while keeping their
   // completions, so a fast writer could leave completed above submitted by
-  // more than the requests in flight.
+  // more than the requests in flight. Only reset() decrements, and resets
+  // run one at a time, so no counter can be subtracted below zero.
+  const std::lock_guard<std::mutex> lock(reset_mutex_);
   const std::uint64_t submitted = submitted_.load(std::memory_order_acquire);
   const auto clear = [](std::atomic<std::uint64_t>& c) {
     c.fetch_sub(c.load(std::memory_order_acquire), std::memory_order_release);

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -100,8 +101,8 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_prometheus() const;
 };
 
-/// The engine's mutable counter set. All methods are thread-safe and
-/// wait-free; const methods only read.
+/// The engine's mutable counter set. All methods are thread-safe; every one
+/// but reset() is wait-free, and const methods only read.
 class Metrics {
  public:
   void on_submitted() noexcept { inc(submitted_); }
@@ -145,6 +146,9 @@ class Metrics {
   /// a snapshot taken after it keeps completed <= submitted + the requests
   /// in flight when it began: those attribute their completion to the new
   /// epoch (their submit was cleared), an accepted one-snapshot skew.
+  /// Resets are serialized by a mutex (writers never take it): two
+  /// overlapping resets would otherwise both subtract the same reading and
+  /// wrap the counters.
   void reset() noexcept;
 
   /// Histogram bucket for a latency: floor(log2(ns)), saturated into
@@ -175,6 +179,8 @@ class Metrics {
   Histogram latency_buckets_{};
   /// Per-stage latency histograms, same bucketing, indexed by Stage.
   std::array<Histogram, kNumStages> stage_buckets_{};
+  /// Held by reset() only.
+  std::mutex reset_mutex_;
 };
 
 }  // namespace factorhd::service

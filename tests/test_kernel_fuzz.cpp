@@ -946,6 +946,12 @@ std::vector<Hypervector> slab_queries(const SlabCase& sc, Xoshiro256& rng) {
   Hypervector late = rep1_query(row(), 0.25, rng);   // empty first slab
   for (std::size_t i = 0; i < std::min(dim, kSlabDims); ++i) late[i] = 0;
   qs.push_back(std::move(late));
+  // No support past the first slab, on row 4, which (size >= 5) duplicates
+  // an earlier row: the top partial repeats and the lower row must win.
+  Hypervector early =
+      rep1_query(cb.item(std::min<std::size_t>(4, cb.size() - 1)), 0.25, rng);
+  for (std::size_t i = kSlabDims; i < dim; ++i) early[i] = 0;
+  qs.push_back(std::move(early));
   qs.push_back(sc.tie_query);                        // tie below the seed
   return qs;
 }
@@ -1113,6 +1119,50 @@ TEST(KernelFuzz, SlabKernelMatchesScalarOnEveryLevel) {
           }
           EXPECT_EQ(want_max[q], got_max[q]);
         }
+      }
+    }
+  }
+}
+
+TEST(KernelFuzz, PartialArgmaxFindsTheFirstMaximumOnEveryLevel) {
+  // QueryBlockKernels::partial_argmax, the fallback's merge of slab
+  // partials with suffix dots: the maximum of partial + suffix and its
+  // lowest index, at counts straddling every vector width and unroll, with
+  // narrow value ranges so the maximum repeats, and with a planted unique
+  // maximum at the first and the last index.
+  Xoshiro256 rng(20261024);
+  for (std::size_t count :
+       {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{7},
+        std::size_t{8}, std::size_t{9}, std::size_t{15}, std::size_t{16},
+        std::size_t{17}, std::size_t{255}, std::size_t{256}}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      SCOPED_TRACE("count=" + std::to_string(count) +
+                   " shape=" + std::to_string(shape));
+      std::vector<std::int16_t> partial(count);
+      std::vector<std::int64_t> suffix(count);
+      const std::uint64_t span = shape == 0 ? 1 : 7;  // shape 0: all equal
+      for (std::size_t i = 0; i < count; ++i) {
+        partial[i] = static_cast<std::int16_t>(rng.uniform(span)) - 512;
+        suffix[i] = static_cast<std::int64_t>(rng.uniform(span)) - 3000;
+      }
+      if (shape == 2) suffix.front() += 100;
+      if (shape == 3) suffix.back() += 100;
+      std::int64_t want = INT64_MIN;
+      std::size_t want_at = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (partial[i] + suffix[i] > want) {
+          want = partial[i] + suffix[i];
+          want_at = i;
+        }
+      }
+      for (SimdLevel level : available_levels()) {
+        SCOPED_TRACE(kernels::to_string(level));
+        std::int64_t got = 0;
+        std::size_t got_at = count;
+        kernels::query_block_kernels(level).partial_argmax(
+            partial.data(), suffix.data(), count, &got, &got_at);
+        EXPECT_EQ(want, got);
+        EXPECT_EQ(want_at, got_at);
       }
     }
   }

@@ -9,6 +9,7 @@
 // joined is exact — every event counted once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -241,6 +242,45 @@ TEST(MetricsConcurrency, ResetDuringWritesNeverInvertsTheOrdering) {
     ASSERT_LE(snap.completed, snap.submitted + 1);
   }
   writer.join();
+}
+
+TEST(MetricsConcurrency, OverlappingResetsNeverWrapTheCounters) {
+  // Two threads reset the same set while a writer counts: each reset drops
+  // the value it read, so without serialization both could subtract one
+  // reading and leave a counter near 2^64.
+  Metrics m;
+  constexpr int kRequests = 10000;
+  std::atomic<bool> stop{false};
+  std::thread writer([&m, &stop] {
+    for (int i = 0; i < kRequests; ++i) {
+      m.on_submitted();
+      m.on_cache_miss();
+      m.on_completed(1.0);
+    }
+    stop.store(true, std::memory_order_relaxed);
+  });
+  const auto resetter = [&m, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) m.reset();
+    m.reset();
+  };
+  std::thread a(resetter);
+  std::thread b(resetter);
+  // The largest counter seen; checked after the joins, so a failure never
+  // leaves a joinable thread behind.
+  std::uint64_t largest = 0;
+  while (!stop.load(std::memory_order_relaxed)) {
+    const MetricsSnapshot snap = m.snapshot(0);
+    largest = std::max({largest, snap.submitted, snap.completed,
+                        snap.cache_misses});
+  }
+  writer.join();
+  a.join();
+  b.join();
+  EXPECT_LE(largest, static_cast<std::uint64_t>(kRequests));
+  const MetricsSnapshot snap = m.snapshot(0);
+  EXPECT_EQ(snap.submitted, 0u);
+  EXPECT_EQ(snap.completed, 0u);
+  EXPECT_EQ(snap.cache_misses, 0u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 namespace {
 
+using factorhd::hdc::kernels::row_block_count;
 using factorhd::hdc::kernels::run_row_blocks;
 
 std::vector<std::pair<std::size_t, std::size_t>> blocks_of(
@@ -47,6 +48,7 @@ TEST(RowBlocks, PartitionCoversRangeInFixedContiguousBlocks) {
       const auto blocks = blocks_of(n, workers);
       if (n == 0) {
         EXPECT_TRUE(blocks.empty());
+        EXPECT_EQ(row_block_count(n, workers), 0u);
         continue;
       }
       ASSERT_FALSE(blocks.empty());
@@ -61,6 +63,17 @@ TEST(RowBlocks, PartitionCoversRangeInFixedContiguousBlocks) {
       }
       // The same inputs give the same partition.
       EXPECT_EQ(blocks, blocks_of(n, workers));
+      // The three-index form numbers the same blocks 0, 1, ... in row order.
+      EXPECT_EQ(row_block_count(n, workers), blocks.size());
+      std::mutex mu;
+      std::vector<std::pair<std::size_t, std::size_t>> indexed(blocks.size());
+      run_row_blocks(n, workers, [&](std::size_t block, std::size_t begin,
+                                     std::size_t end) {
+        const std::lock_guard<std::mutex> lock(mu);
+        ASSERT_LT(block, indexed.size());
+        indexed[block] = {begin, end};
+      });
+      EXPECT_EQ(indexed, blocks);
     }
   }
 }
