@@ -4,7 +4,8 @@
 // packed word-plane backend), encoding, and one-pass factorization. These
 // quantify the per-operation costs behind the Fig. 4 timing sweeps.
 //
-// The BM_Scan* pairs are consumed by scripts/bench.sh, which parses the
+// The BM_Scan* pairs and the BM_Cleanup* rows are consumed by
+// scripts/bench.sh, which parses the
 // --benchmark_format=json output into BENCH_kernels.json including the
 // packed-over-scalar speedup per (M, D) point and the blocked-scan Q=64 over
 // Q=1 ratio per BM_ScanBlockPacked (M, D) sweep (see README "Kernel
@@ -185,12 +186,14 @@ BENCHMARK(BM_ScanDotsPacked)->Apply(scan_args);
 // The memory adopts random bipolar planes directly, so the 65536 x 4096
 // point holds 32 MB of planes instead of a 1 GB int32 codebook. A noisy
 // query is a row with 20% of its signs flipped: bipolar, with most of its
-// mass past the first 512-dimension slab, so the pruned argmax's bound
-// keeps every row and the scan finishes on its full fallback pass.
+// mass past the first 512-dimension slab, so neither step of the pruned
+// argmax's bound drops rows and the scan finishes on its full fallback
+// pass.
 
 struct BlockScanFixture {
   enum class Queries {
     kNoisy,  ///< bipolar row with 20% of its signs flipped
+    kFlip,   ///< bipolar row with 5% of its signs flipped
     kRep1,   ///< unbound Rep-1 query: the row on a random 1/8 of the dims
   };
   BlockScanFixture(std::size_t m, std::size_t dim, std::size_t q,
@@ -205,15 +208,16 @@ struct BlockScanFixture {
       const std::uint64_t* row = planes->data() + (i % m) * words;
       hdc::kernels::PackedQuery pq;
       pq.dim = dim;
-      pq.bipolar = kind == Queries::kNoisy;
+      pq.bipolar = kind != Queries::kRep1;
       pq.sign.assign(row, row + words);
       if (kind == Queries::kRep1) pq.nonzero.assign(words, 0);
+      const double flip = kind == Queries::kNoisy ? 0.2 : 0.05;
       for (std::size_t d = 0; d < dim; ++d) {
         const std::uint64_t bit = 1ULL << (d % 64);
-        if (kind == Queries::kNoisy && rng.uniform_double() < 0.2) {
+        if (kind == Queries::kRep1) {
+          if (rng.uniform_double() < 0.125) pq.nonzero[d / 64] |= bit;
+        } else if (rng.uniform_double() < flip) {
           pq.sign[d / 64] ^= bit;
-        } else if (kind == Queries::kRep1 && rng.uniform_double() < 0.125) {
-          pq.nonzero[d / 64] |= bit;
         }
       }
       if (kind == Queries::kRep1) {
@@ -271,24 +275,36 @@ void BM_ScanBlockPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanBlockPacked)->Apply(block_args);
 
-// --- Large-codebook cleanup: the pruned argmax on its own query shape -----
+// --- Large-codebook cleanup: both sides of the pruned argmax's step choice
 // Arguments: (M, D, Q) = (65536, 4096, 16), the tiered_large class-0 shape.
-// The queries are unbound Rep-1 queries: zero on 7/8 of the dims and equal
-// to their true row elsewhere, so the slab bound drops every other row after
-// the first 512 dims. Compare with BM_ScanBlockPacked/65536/4096/16, the
-// same scan on noisy queries that keep every row.
+// BM_CleanupRep1's queries are unbound Rep-1 queries: zero on 7/8 of the
+// dims and equal to their true row elsewhere, so the first step's 128-dim
+// bound drops every other row. BM_CleanupFlip's are 5%-flip bipolar
+// queries, dense and highly similar: 128 dims cannot separate them, so they
+// take the 512-dim step alone, which drops every other row. Compare both with
+// BM_ScanBlockPacked/65536/4096/16, the same scan on noisy queries that
+// keep every row.
 
-void BM_CleanupRep1(benchmark::State& state) {
+void cleanup_bench(benchmark::State& state, BlockScanFixture::Queries kind) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto dim = static_cast<std::size_t>(state.range(1));
   const auto q = static_cast<std::size_t>(state.range(2));
-  BlockScanFixture fx(m, dim, q, BlockScanFixture::Queries::kRep1);
+  BlockScanFixture fx(m, dim, q, kind);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.memory.best_block(fx.queries));
   }
   block_counters(state, m, dim, q);
 }
+
+void BM_CleanupRep1(benchmark::State& state) {
+  cleanup_bench(state, BlockScanFixture::Queries::kRep1);
+}
 BENCHMARK(BM_CleanupRep1)->Args({65536, 4096, 16});
+
+void BM_CleanupFlip(benchmark::State& state) {
+  cleanup_bench(state, BlockScanFixture::Queries::kFlip);
+}
+BENCHMARK(BM_CleanupFlip)->Args({65536, 4096, 16});
 
 // Forced-tier variants, registered from main() only for tiers this CPU can
 // execute (a forced ItemMemory construction throws otherwise).

@@ -20,8 +20,9 @@ OUT=BENCH_kernels.json
 MODE=full
 # Scalar + dispatched packed + every per-tier PackedWords/AVX2/AVX512/NEON
 # row this CPU registered, plus the BM_ScanBlockPacked/M/D/Q multi-query
-# sweep behind the v3 block_speedup table.
-FILTER='^BM_Scan((Best|Dots)(Scalar|Packed[A-Za-z0-9]*)|BlockPacked)/'
+# sweep behind the v3 block_speedup table and the BM_Cleanup{Rep1,Flip}
+# rows of the pruned argmax.
+FILTER='^BM_(Scan((Best|Dots)(Scalar|Packed[A-Za-z0-9]*)|BlockPacked)|Cleanup(Rep1|Flip))/'
 BENCH_ARGS=()
 
 while [ $# -gt 0 ]; do

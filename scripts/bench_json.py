@@ -30,6 +30,10 @@ and the context's dispatched tier for plain BM_Scan*Packed rows.
 ``q`` field — the number of packed queries per ``best_block`` call — and
 feed the ``block_speedup`` table: per-query throughput at Q=64 over Q=1
 for each (M, D), the multi-query amortization the blocked kernels buy.
+``BM_Cleanup{Rep1,Flip}/M/D/Q`` rows (kernels ``cleanup_rep1`` and
+``cleanup_flip``) carry ``q`` too: the pruned argmax on unbound Rep-1
+queries, which its 128-dim first step resolves, and on 5%-flip bipolar
+queries, which its 512-dim second step resolves.
 
 ``--check FILE`` validates an emitted file and exits non-zero on
 violations — the CI hook keeping the emitters and these schemas in
@@ -41,7 +45,8 @@ lockstep. The file's own ``schema`` field selects the validator:
   ``block_speedup`` table. Full-mode baselines must show
   ``scan_block/m4096/d8192 >= 3.0`` (the ISSUE 7 blocked-scan acceptance
   bound; at tiny M the per-plane row pass is too short to amortize, so
-  the bound is pinned at the GEMM-shaped 4096-row point).
+  the bound is pinned at the GEMM-shaped 4096-row point). They must also
+  hold both cleanup rows (presence only, no speed bound).
 * ``factorhd.bench_scale.v1`` — the tiered-scan M-sweep written directly
   by ``bench_ext_scale --json`` (context with dim/queries/flip_rate/seed/
   SIMD tiers; one sweep row per codebook size M with clusters, nprobe,
@@ -112,6 +117,14 @@ BLOCK_NAME_RE = re.compile(
     r"^BM_ScanBlockPacked/(?P<m>\d+)/(?P<d>\d+)/(?P<q>\d+)$"
 )
 
+# BM_CleanupRep1/65536/4096/16 -> kernel "cleanup_rep1" (and Flip ->
+# "cleanup_flip"): the pruned argmax on one query shape each.
+CLEANUP_NAME_RE = re.compile(
+    r"^BM_Cleanup(?P<shape>Rep1|Flip)/(?P<m>\d+)/(?P<d>\d+)/(?P<q>\d+)$"
+)
+CLEANUP_KERNELS = ("cleanup_rep1", "cleanup_flip")
+QUERY_BLOCK_KERNELS = ("scan_block",) + CLEANUP_KERNELS
+
 # Benchmark-name level suffix -> canonical SimdLevel name (simd.hpp).
 LEVEL_NAMES = {"Words": "scalar", "AVX2": "avx2", "AVX512": "avx512",
                "NEON": "neon"}
@@ -140,11 +153,15 @@ def parse_benchmarks(raw, dispatched_level):
         unit = b.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
         block = BLOCK_NAME_RE.match(b.get("name", ""))
+        cleanup = CLEANUP_NAME_RE.match(b.get("name", ""))
+        if cleanup:
+            block = cleanup
         if block:
             out.append(
                 {
                     "name": b["name"],
-                    "kernel": "scan_block",
+                    "kernel": ("cleanup_" + cleanup.group("shape").lower()
+                               if cleanup else "scan_block"),
                     "backend": "packed",
                     "level": dispatched_level,
                     "forced": False,
@@ -263,7 +280,7 @@ def validate(doc, schema=SCHEMA):
     well_formed = []
     for b in benchmarks:
         required = ("kernel", "backend", "level", "forced", "m", "d")
-        if b.get("kernel") == "scan_block":
+        if b.get("kernel") in QUERY_BLOCK_KERNELS:
             required += ("q",)
         missing = [k for k in required if k not in b]
         if missing:
@@ -282,7 +299,7 @@ def validate(doc, schema=SCHEMA):
     # forced tier measured must appear under a per-level key. scan_block rows
     # live in the block_speedup table instead.
     for b in well_formed:
-        if b["backend"] != "packed" or b["kernel"] == "scan_block":
+        if b["backend"] != "packed" or b["kernel"] in QUERY_BLOCK_KERNELS:
             continue
         key = f"{b['kernel']}/m{b['m']}/d{b['d']}"
         slot = speedup_slot(b)
@@ -316,6 +333,11 @@ def validate(doc, schema=SCHEMA):
                     f"block_speedup {BLOCK_ACCEPTANCE_KEY}: {got} < "
                     f"{MIN_BLOCK_SPEEDUP}"
                 )
+            # Both sides of the pruned argmax's step choice are measured.
+            kernels = {b["kernel"] for b in well_formed}
+            for kernel in CLEANUP_KERNELS:
+                if kernel not in kernels:
+                    errors.append(f"full-mode v3 file has no {kernel} row")
     return errors
 
 

@@ -231,12 +231,11 @@ Match ItemMemory::best(const Hypervector& query, ScanMode mode,
     return packed_->best(*q);
   }
   Match m{0, similarity(query, codebook_->item(0))};
-  count(1);
   for (std::size_t j = 1; j < codebook_->size(); ++j) {
     const double s = similarity(query, codebook_->item(j));
-    count(1);
     if (s > m.similarity) m = {j, s};
   }
+  count(codebook_->size());
   if (scanned != nullptr) *scanned = codebook_->size();
   return m;
 }
@@ -310,12 +309,11 @@ Match ItemMemory::best_among(const Hypervector& query,
     return packed_->best_among(*q, indices);
   }
   Match m{indices[0], similarity(query, codebook_->item(indices[0]))};
-  count(1);
   for (std::size_t k = 1; k < indices.size(); ++k) {
     const double s = similarity(query, codebook_->item(indices[k]));
-    count(1);
     if (s > m.similarity) m = {indices[k], s};
   }
+  count(indices.size());
   return m;
 }
 
@@ -349,9 +347,9 @@ std::vector<Match> ItemMemory::above(const Hypervector& query,
   std::vector<Match> out;
   for (std::size_t j = 0; j < codebook_->size(); ++j) {
     const double s = similarity(query, codebook_->item(j));
-    count(1);
     if (s > threshold) out.push_back({j, s});
   }
+  count(codebook_->size());
   if (scanned != nullptr) *scanned = codebook_->size();
   std::sort(out.begin(), out.end(), match_order);
   return out;
@@ -367,9 +365,9 @@ std::vector<Match> ItemMemory::above_among(
   std::vector<Match> out;
   for (std::size_t j : indices) {
     const double s = similarity(query, codebook_->item(j));
-    count(1);
     if (s > threshold) out.push_back({j, s});
   }
+  count(indices.size());
   std::sort(out.begin(), out.end(), match_order);
   return out;
 }
@@ -411,8 +409,8 @@ std::vector<Match> ItemMemory::top_k(const Hypervector& query, std::size_t k,
   all.reserve(codebook_->size());
   for (std::size_t j = 0; j < codebook_->size(); ++j) {
     all.push_back({j, similarity(query, codebook_->item(j))});
-    count(1);
   }
+  count(codebook_->size());
   if (scanned != nullptr) *scanned = codebook_->size();
   const std::size_t keep = std::min(k, all.size());
   std::partial_sort(all.begin(),
@@ -438,8 +436,8 @@ void ItemMemory::dots(const Hypervector& query,
   }
   for (std::size_t j = 0; j < codebook_->size(); ++j) {
     out[j] = dot(query, codebook_->item(j));
-    count(1);
   }
+  count(codebook_->size());
 }
 
 }  // namespace factorhd::hdc

@@ -21,10 +21,11 @@
 // scalar loop per call. Copies share the immutable packed planes.
 //
 // The packed argmax (best / best_block) is bound-pruned on bipolar
-// codebooks: rows whose first-512-dimension partial dot plus the query's
-// remaining support cannot reach the best are never finished. It stays
-// exact, so it is not a separate backend; an unbound Rep-1 query over a
-// 65536-row codebook finishes about one row.
+// codebooks: rows whose partial dot over the first 128 (or, for queries
+// 128 dims cannot separate, 512) dimensions plus the query's remaining
+// support cannot reach the best are never finished. It stays exact, so it
+// is not a separate backend; an unbound Rep-1 query over a 65536-row
+// codebook finishes a few rows.
 //
 // A third, *approximate* backend exists for codebooks far beyond the paper's
 // sizes: kTiered routes full-codebook scans (best / above / top_k) through

@@ -388,16 +388,29 @@ namespace {
 
 // Rows per blocked-scan chunk: bounds the per-chunk dots scratch to
 // queries * 2 KiB while leaving the QueryBlockKernels register tiles plenty
-// of rows to amortize each query visit over. The pruned argmax also keeps
-// one maximum partial per query and chunk, so its candidate walk skips
-// every chunk whose maximum is below the cut.
+// of rows to amortize each query visit over. The pruned argmax stores its
+// partials chunk-major, one 256-row span per query and chunk, and keeps one
+// maximum partial per query and chunk, so its candidate walk skips every
+// chunk whose maximum is below the cut.
 constexpr std::size_t kBlockChunkRows = 256;
 
 // Queries per slab pass of the pruned argmax. A group keeps its int16
 // partials (group * size() * 2 bytes) cache-resident between the slab pass
-// and the candidate walk: at M = 65536 a 16-query group holds 2 MB, while
-// 128-query groups (16 MB) spilled the cache and ran ~2x slower per query.
+// and the candidate walk: 2 MB for a 16-query group at M = 65536.
 constexpr std::size_t kPruneGroup = 16;
+
+// Most rows the first (128-dim) step's walk may visit before its query
+// escalates to the full slab. A Rep-1 query has s0 ~ Bin(128, 1/8) nonzero
+// dims in the first 128, and a noise row ties the true row's step-one
+// partial (and so is visited) with probability 2^-s0. Measured on 1024
+// unbound Rep-1 queries at M = 65536, D = 4096 (AVX-512): the step-one walk
+// visits a mean of 14.2 rows, median 2, 95th percentile 55, 99th 151;
+// 7 queries visited more than 256 rows and 4 more than 512. One visit (a
+// full dot of an uncached row, plus its share of the walk) cost about
+// 0.75 us, while step two for a lone escalated query streams the whole
+// slab plane, 220-490 us: the two meet at roughly 300-650 visits. Memories
+// of fewer than 8 * 512 rows use size() / 8, the fallback's own cap.
+constexpr std::size_t kStepOneRows = 512;
 
 }  // namespace
 
@@ -405,23 +418,33 @@ constexpr std::size_t kPruneGroup = 16;
 // best_block, kept between calls so that scans of a given shape allocate
 // nothing after the first; each is rewritten before it is read.
 //
-// `part` holds partial slots of size() int16 each. Slots [0, nf) keep the
-// slab partials of the block's nf fallback queries so far, in fallback
-// order; a group's slab pass writes the slots after them, and its walk moves
-// each new fallback query down to the next free slot (a no-op when a whole
-// group falls back). The buffer grows only when a group needs more slots:
-// kPruneGroup slots (2 MB at M = 65536) while queries prune, up to one slot
-// per query of the largest all-noise block seen.
+// `part` holds one region per query group, laid out [chunk][query][256]:
+// query k's partials of chunk c start at region + (c * open + k) * 256,
+// where `open` is the number of queries the region's last pass scored.
+// Entries [0, kept) are the regions of earlier groups that still hold a
+// fallback query's partials; each new group writes the region after them,
+// and keeps it only when one of its queries falls back. The buffer grows
+// only when a group needs more room: one group region (2 MB at M = 65536)
+// while queries prune, up to one region per group of the largest noise
+// block seen.
 struct PackedItemMemory::PruneScratch {
   // One entry of a query's candidate walk.
   struct Candidate {
     std::int16_t partial;
     std::uint32_t row;
   };
+  // A query that finishes on the fallback pass: its block index, and its
+  // partials of chunk c at part[offset + c * stride].
+  struct Fallback {
+    std::size_t query;
+    std::size_t offset;
+    std::size_t stride;
+  };
   std::unique_ptr<std::int16_t[]> part;
   std::size_t part_capacity = 0;        ///< entries of `part`
-  std::vector<std::size_t> fallback;    ///< block index per fallback slot
-  std::vector<std::int16_t> chunk_max;  ///< a group's (chunk, query) maxima
+  std::size_t kept = 0;                 ///< entries held by fallback regions
+  std::vector<Fallback> fallback;
+  std::vector<std::int16_t> chunk_max;  ///< a pass's (chunk, query) maxima
   std::vector<Candidate> cand;
   // finish_fallback:
   std::vector<std::size_t> order;  ///< kernel slot -> fallback slot
@@ -465,38 +488,124 @@ void PackedItemMemory::block_dots_range(const BlockView& view,
   }
 }
 
-std::int64_t PackedItemMemory::rest_support(
-    const PackedQuery& query) const noexcept {
-  if (query.bipolar) return static_cast<std::int64_t>(dim_ - slab_dim());
+std::int64_t PackedItemMemory::rest_support(const PackedQuery& query,
+                                            std::size_t words) const noexcept {
+  if (query.bipolar) {
+    return static_cast<std::int64_t>(dim_ - prefix_dim(words));
+  }
   std::int64_t support = 0;
-  for (std::size_t w = slab_words_; w < words_; ++w) {
+  for (std::size_t w = words; w < words_; ++w) {
     support += std::popcount(query.nonzero[w]);
   }
   return support;
 }
 
-// The exact bound-pruned argmax (see best() in the header), in three
-// passes:
-//   1. Slab pass, per group of kPruneGroup queries (best_group):
-//      QueryBlockKernels::slab_rows streams the slab plane once for the
-//      group, storing each partial dot as int16 and each (chunk, query)
-//      maximum.
-//   2. Candidate walk, per query (best_group): every |row_d| <= 1, so a
-//      row's dot is at most partial + rest, rest = Σ|q_d| over the dims past
-//      the slab. Rows are visited in descending partial order and each full
-//      dot raises the best; the walk stops at the first row whose
-//      partial + rest is below it — every row not yet visited is then
+// The candidate walk of one query (see best_group): `p` holds its partials
+// over slab words [0, words), chunk c's at p + c * stride, and `cm` its
+// chunk maxima, chunk c's at cm[c * cm_stride].
+std::optional<Match> PackedItemMemory::prune_walk(
+    const PackedQuery& query, std::size_t words, std::size_t limit,
+    const std::int16_t* p, std::size_t stride, const std::int16_t* cm,
+    std::size_t cm_stride, PruneScratch& scratch) const {
+  const std::size_t chunks = (size_ + kBlockChunkRows - 1) / kBlockChunkRows;
+  const std::int64_t rest = rest_support(query, words);
+  // Rows with a partial in [cut, hi) are collected next; every row at or
+  // above hi has been visited already.
+  std::int64_t cut = INT16_MIN;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    cut = std::max<std::int64_t>(cut, cm[c * cm_stride]);
+  }
+  if (rest == 0) {
+    // No support past the scored words (they hold every dim, or the query
+    // is zero past them): each dot is its partial, so the first row at the
+    // top partial is the argmax.
+    std::size_t c = 0;
+    while (cm[c * cm_stride] != cut) ++c;
+    const std::int16_t* pc = p + c * stride;
+    std::size_t i = 0;
+    while (pc[i] != cut) ++i;
+    return Match{c * kBlockChunkRows + i, to_similarity(cut)};
+  }
+  std::vector<PruneScratch::Candidate>& cand = scratch.cand;
+  std::int64_t hi = INT64_MAX;
+  std::int64_t best_dot = INT64_MIN;
+  std::size_t best_row = 0;
+  std::size_t visited = 0;
+  for (;;) {
+    cand.clear();
+    for (std::size_t c = 0; c < chunks; ++c) {
+      if (cm[c * cm_stride] < cut) continue;
+      const std::int16_t* pc = p + c * stride;
+      const std::size_t begin = c * kBlockChunkRows;
+      const std::size_t count = std::min(size_ - begin, kBlockChunkRows);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (pc[i] >= cut && pc[i] < hi) {
+          cand.push_back({pc[i], static_cast<std::uint32_t>(begin + i)});
+        }
+      }
+      if (visited + cand.size() > limit) return std::nullopt;
+    }
+    std::sort(cand.begin(), cand.end(),
+              [](const PruneScratch::Candidate& a,
+                 const PruneScratch::Candidate& b) {
+                return a.partial != b.partial ? a.partial > b.partial
+                                              : a.row < b.row;
+              });
+    bool stopped = false;
+    for (const PruneScratch::Candidate& k : cand) {
+      if (k.partial + rest < best_dot) {
+        stopped = true;
+        break;
+      }
+      const std::int64_t d = row_dot(k.row, query);
+      if (d > best_dot || (d == best_dot && k.row < best_row)) {
+        best_dot = d;
+        best_row = k.row;
+      }
+    }
+    visited += cand.size();
+    if (stopped) break;
+    // Every row at or above `cut` is visited; a row below best - rest
+    // cannot reach the best.
+    const std::int64_t next = best_dot - rest;
+    if (next >= cut) break;
+    if (next <= -static_cast<std::int64_t>(prefix_dim(words)) &&
+        size_ - visited > limit) {
+      // No partial is below the new cut (noise: rest dwarfs the scored
+      // words), so every unvisited row is a candidate; skip collecting them.
+      return std::nullopt;
+    }
+    hi = cut;
+    cut = next;
+  }
+  return Match{best_row, to_similarity(best_dot)};
+}
+
+// The exact bound-pruned argmax (see best() in the header). Per group of
+// kPruneGroup queries (best_group), in up to two steps of the same bound:
+//   1. Slab pass: QueryBlockKernels::slab_rows streams the slab plane once
+//      for the group's open queries, storing each partial dot as int16,
+//      chunk-major, and each (chunk, query) maximum. Step one scores words
+//      [0, kSlabStepWords) (128 dims), step two all slab_words_ (512).
+//   2. Candidate walk, per open query (prune_walk): every |row_d| <= 1, so
+//      a row's dot is at most partial + rest, rest = Σ|q_d| over the dims
+//      past the scored words. Rows are visited in descending partial order
+//      and each full dot raises the best; the walk stops at the first row
+//      whose partial + rest is below it — every row not yet visited is then
 //      strictly worse. Ties (d == best, lower row) are kept, so the
 //      lowest-index maximum wins as in the plain argmax. With rest = 0
 //      every dot is its partial, and the first top-partial row is taken.
-//   3. Fallback, once per block (finish_fallback): a query whose walk would
-//      visit more than size() / 8 rows (noise) keeps its partials in its
-//      slot and finishes on one blocked pass over words
-//      [slab_words_, words_) of every row — the plain argmax at the cost of
-//      a plain scan, with the rows streamed once for all such queries.
-// Passes 1 and 3 split their row chunks across the scan pool; each chunk
-// writes its own output slots and the merges run in row order, so the
-// results are the same at every worker count.
+//      A step-one walk that would visit more than
+//      min(kStepOneRows, size() / 8) rows leaves its query open for step
+//      two (dense queries: 128 dims cannot separate them); a step-two walk
+//      that would visit more than size() / 8 rows sends it to the fallback.
+// Then, once per block (finish_fallback), each fallback query (noise)
+// keeps its step-two partials in its group's region and finishes on one
+// blocked pass over words [slab_words_, words_) of every row — the plain
+// argmax at the cost of a plain scan, with the rows streamed once for all
+// such queries. The slab and fallback passes split their row chunks across
+// the scan pool; each chunk writes its own output slots and the merges run
+// in row order, so the results are the same at every worker count.
 void PackedItemMemory::best_group(std::span<const PackedQuery> block,
                                   std::size_t first, Match* out,
                                   PruneScratch& scratch) const {
@@ -505,128 +614,81 @@ void PackedItemMemory::best_group(std::span<const PackedQuery> block,
   const std::size_t nq = queries.size();
   const QueryBlockKernels& kernels = query_block_kernels(level_);
   const std::size_t chunks = (size_ + kBlockChunkRows - 1) / kBlockChunkRows;
+  const std::size_t region = chunks * kBlockChunkRows;
 
-  // The group's partials go to the slots after the kept fallback slots.
-  const std::size_t kept = scratch.fallback.size() * size_;
-  if (kept + nq * size_ > scratch.part_capacity) {
+  // The group's region goes after the kept fallback regions.
+  if (scratch.kept + nq * region > scratch.part_capacity) {
     const std::size_t capacity =
-        std::max(kept + nq * size_, 2 * scratch.part_capacity);
+        std::max(scratch.kept + nq * region, 2 * scratch.part_capacity);
     auto grown = std::make_unique_for_overwrite<std::int16_t[]>(capacity);
-    std::copy_n(scratch.part.get(), kept, grown.get());
+    std::copy_n(scratch.part.get(), scratch.kept, grown.get());
     scratch.part = std::move(grown);
     scratch.part_capacity = capacity;
   }
-  std::int16_t* const part = scratch.part.get() + kept;
-
-  // Pass 1: int16 partials, query-major, and per-chunk maxima, chunk-major.
-  std::array<std::uint64_t, kPruneGroup * kSlabWords> q_nz{};
-  std::array<std::uint64_t, kPruneGroup * kSlabWords> q_sg{};
-  for (std::size_t q = 0; q < nq; ++q) {
-    const PackedQuery& query = queries[q];
-    std::copy_n(query.sign.data(), slab_words_, &q_sg[q * kSlabWords]);
-    std::copy_n(query.bipolar ? slab_mask_.data() : query.nonzero.data(),
-                slab_words_, &q_nz[q * kSlabWords]);
-  }
+  std::int16_t* const part = scratch.part.get() + scratch.kept;
   scratch.chunk_max.resize(std::max(scratch.chunk_max.size(), chunks * nq));
   std::int16_t* const chunk_max = scratch.chunk_max.data();
-  run_row_blocks(chunks, scan_workers(), [&](std::size_t c_begin,
-                                             std::size_t c_end) {
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-      const std::size_t begin = c * kBlockChunkRows;
-      kernels.slab_rows(q_nz.data(), q_sg.data(), nq,
-                        slab_.data() + begin * kSlabWords,
-                        std::min(size_ - begin, kBlockChunkRows),
-                        part + begin, size_, chunk_max + c * nq);
-    }
-  });
 
-  // Pass 2: per-query candidate walk.
-  const std::size_t limit = std::max<std::size_t>(1, size_ / 8);
-  std::vector<PruneScratch::Candidate>& cand = scratch.cand;
-  for (std::size_t q = 0; q < nq; ++q) {
-    const PackedQuery& query = queries[q];
-    const std::int64_t rest = rest_support(query);
-    const std::int16_t* p = part + q * size_;
-    // Rows with a partial in [cut, hi) are collected next; every row at or
-    // above hi has been visited already.
-    std::int64_t cut = INT16_MIN;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      cut = std::max<std::int64_t>(cut, chunk_max[c * nq + q]);
+  // Step one (128 dims) stops early only for a query that equals its best
+  // row on almost all of its support: after it, rest is the support past
+  // 128 dims, so a best row that differs in f of the query's dims leaves a
+  // cut of at most s0 - 2f, where s0 <= 128 is the support in those dims.
+  // An unbound (ternary) Rep-1 query has f = 0. A bipolar query has
+  // s0 = 128 and gains only if f is below about 50, a near-exact hit; a
+  // 5%-flip query at D = 4096 has f = 205, and running step one first cost
+  // BM_CleanupFlip about 10%. So bipolar queries take step two alone, as do
+  // all queries when rows are at most 128 dims wide.
+  std::array<bool, kPruneGroup> done{};
+  std::array<std::size_t, kPruneGroup> open{};
+  const std::size_t fallback_limit = std::max<std::size_t>(1, size_ / 8);
+  for (const bool last : {false, true}) {
+    if (!last && slab_words_ <= kSlabStepWords) continue;
+    const std::size_t words = last ? slab_words_ : kSlabStepWords;
+    // open[k] is the group index of the k-th query this step scores.
+    std::size_t n_open = 0;
+    for (std::size_t q = 0; q < nq; ++q) {
+      if (!done[q] && (last || !queries[q].bipolar)) open[n_open++] = q;
     }
-    if (rest == 0) {
-      // No support past the slab (every dim is in it, or the query is zero
-      // there): each dot is its partial, so the first row at the top
-      // partial is the argmax.
-      std::size_t row = 0;
-      while (chunk_max[row / kBlockChunkRows * nq + q] != cut) {
-        row += kBlockChunkRows;
-      }
-      while (p[row] != cut) ++row;
-      out[first + q] = {row, to_similarity(cut)};
-      continue;
+    if (n_open == 0) continue;
+    std::array<std::uint64_t, kPruneGroup * kSlabWords> q_nz{};
+    std::array<std::uint64_t, kPruneGroup * kSlabWords> q_sg{};
+    for (std::size_t k = 0; k < n_open; ++k) {
+      const PackedQuery& query = queries[open[k]];
+      std::copy_n(query.sign.data(), words, &q_sg[k * kSlabWords]);
+      std::copy_n(query.bipolar ? slab_mask_.data() : query.nonzero.data(),
+                  words, &q_nz[k * kSlabWords]);
     }
-    std::int64_t hi = INT64_MAX;
-    std::int64_t best_dot = INT64_MIN;
-    std::size_t best_row = 0;
-    std::size_t visited = 0;
-    bool too_many = false;
-    for (;;) {
-      cand.clear();
-      for (std::size_t c = 0; c < chunks && !too_many; ++c) {
-        if (chunk_max[c * nq + q] < cut) continue;
-        const std::size_t end = std::min(size_, (c + 1) * kBlockChunkRows);
-        for (std::size_t row = c * kBlockChunkRows; row < end; ++row) {
-          if (p[row] >= cut && p[row] < hi) {
-            cand.push_back({p[row], static_cast<std::uint32_t>(row)});
-          }
-        }
-        too_many = visited + cand.size() > limit;
+    const std::size_t stride = n_open * kBlockChunkRows;
+    run_row_blocks(chunks, scan_workers(), [&](std::size_t c_begin,
+                                               std::size_t c_end) {
+      for (std::size_t c = c_begin; c < c_end; ++c) {
+        const std::size_t begin = c * kBlockChunkRows;
+        kernels.slab_rows(q_nz.data(), q_sg.data(), n_open,
+                          slab_.data() + begin * kSlabWords,
+                          std::min(size_ - begin, kBlockChunkRows), words,
+                          part + c * stride, kBlockChunkRows,
+                          chunk_max + c * n_open);
       }
-      if (too_many) break;
-      std::sort(cand.begin(), cand.end(),
-                [](const PruneScratch::Candidate& a,
-                   const PruneScratch::Candidate& b) {
-                  return a.partial != b.partial ? a.partial > b.partial
-                                                : a.row < b.row;
-                });
-      bool stopped = false;
-      for (const PruneScratch::Candidate& k : cand) {
-        if (k.partial + rest < best_dot) {
-          stopped = true;
-          break;
-        }
-        const std::int64_t d = row_dot(k.row, query);
-        if (d > best_dot || (d == best_dot && k.row < best_row)) {
-          best_dot = d;
-          best_row = k.row;
-        }
+    });
+    const std::size_t limit =
+        last ? fallback_limit : std::min(kStepOneRows, fallback_limit);
+    bool fell_back = false;
+    for (std::size_t k = 0; k < n_open; ++k) {
+      const std::size_t q = open[k];
+      const std::optional<Match> m =
+          prune_walk(queries[q], words, limit, part + k * kBlockChunkRows,
+                     stride, chunk_max + k, n_open, scratch);
+      if (m) {
+        out[first + q] = *m;
+        done[q] = true;
+      } else if (last) {
+        scratch.fallback.push_back(
+            {first + q, scratch.kept + k * kBlockChunkRows, stride});
+        fell_back = true;
       }
-      visited += cand.size();
-      if (stopped) break;
-      // Every row at or above `cut` is visited; a row below best - rest
-      // cannot reach the best.
-      const std::int64_t next = best_dot - rest;
-      if (next >= cut) break;
-      if (next <= -static_cast<std::int64_t>(slab_dim()) &&
-          size_ - visited > limit) {
-        // No partial is below the new cut (noise: rest dwarfs the slab), so
-        // every unvisited row is a candidate; skip collecting them.
-        too_many = true;
-        break;
-      }
-      hi = cut;
-      cut = next;
     }
-    if (too_many) {
-      // Keep the partials in the next fallback slot; slots only move down,
-      // so this never overwrites a later query's partials.
-      std::int16_t* const slot =
-          scratch.part.get() + scratch.fallback.size() * size_;
-      if (slot != p) std::copy_n(p, size_, slot);
-      scratch.fallback.push_back(first + q);
-    } else {
-      out[first + q] = {best_row, to_similarity(best_dot)};
-    }
+    // Keep the region for the queries that fell back.
+    if (fell_back) scratch.kept += n_open * region;
   }
 }
 
@@ -635,25 +697,25 @@ void PackedItemMemory::finish_fallback(std::span<const PackedQuery> queries,
                                        Match* out) const {
   // Kernel slots: bipolar queries first, as the output layout wants; kernel
   // slot s is fallback slot order[s].
-  const std::vector<std::size_t>& fallback = scratch.fallback;
+  const std::vector<PruneScratch::Fallback>& fallback = scratch.fallback;
   const std::size_t nf = fallback.size();
   std::vector<std::size_t>& order = scratch.order;
   order.resize(nf);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_partition(order.begin(), order.end(), [&](std::size_t f) {
-    return queries[fallback[f]].bipolar;
+    return queries[fallback[f].query].bipolar;
   });
   const QueryBlockKernels& kernels = query_block_kernels(level_);
   const std::size_t chunks = (size_ + kBlockChunkRows - 1) / kBlockChunkRows;
   const std::size_t chunk_rows = std::min(size_, kBlockChunkRows);
-  // A query with no support past the slab never falls back (best_group
-  // takes its top partial), so there are always suffix words to score.
+  // A query with no support past the slab never falls back (its walk takes
+  // the top partial), so there are always suffix words to score.
   const std::size_t rest_words = words_ - slab_words_;
   scratch.fb_bip.clear();
   scratch.fb_nz.clear();
   scratch.fb_sg.clear();
   for (const std::size_t f : order) {
-    const PackedQuery& query = queries[fallback[f]];
+    const PackedQuery& query = queries[fallback[f].query];
     if (query.bipolar) {
       scratch.fb_bip.push_back(query.sign.data() + slab_words_);
     } else {
@@ -668,7 +730,7 @@ void PackedItemMemory::finish_fallback(std::span<const PackedQuery> queries,
                                row_block_count(chunks, workers) * per_block));
   scratch.chunk_dot.resize(std::max(scratch.chunk_dot.size(), chunks * nf));
   scratch.chunk_row.resize(std::max(scratch.chunk_row.size(), chunks * nf));
-  const std::int16_t* const fallback_part = scratch.part.get();
+  const std::int16_t* const part = scratch.part.get();
   std::int64_t* const chunk_dot = scratch.chunk_dot.data();
   std::size_t* const chunk_row = scratch.chunk_row.data();
   run_row_blocks(chunks, workers, [&](std::size_t block, std::size_t c_begin,
@@ -688,8 +750,9 @@ void PackedItemMemory::finish_fallback(std::span<const PackedQuery> queries,
                              dots + nfb * count);
       }
       for (std::size_t f = 0; f < nf; ++f) {
+        const PruneScratch::Fallback& fb = fallback[order[f]];
         std::size_t at = 0;
-        kernels.partial_argmax(fallback_part + order[f] * size_ + begin,
+        kernels.partial_argmax(part + fb.offset + c * fb.stride,
                                dots + f * count, count, &chunk_dot[c * nf + f],
                                &at);
         chunk_row[c * nf + f] = begin + at;
@@ -705,7 +768,7 @@ void PackedItemMemory::finish_fallback(std::span<const PackedQuery> queries,
         br = chunk_row[c * nf + f];
       }
     }
-    out[fallback[order[f]]] = {br, to_similarity(bd)};
+    out[fallback[order[f]].query] = {br, to_similarity(bd)};
   }
 }
 
@@ -722,6 +785,7 @@ std::vector<Match> PackedItemMemory::best_block(
   }
   thread_local PruneScratch scratch;
   scratch.fallback.clear();
+  scratch.kept = 0;
   for (std::size_t first = 0; first < nq; first += kPruneGroup) {
     best_group(queries, first, out.data(), scratch);
   }

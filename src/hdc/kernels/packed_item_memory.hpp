@@ -16,9 +16,10 @@
 // dimensions that are not multiples of 64.
 //
 // The argmax (best / best_block) on bipolar codebooks is bound-pruned: it
-// scores every row's first 512 dimensions from a contiguous slab plane and
-// finishes only the rows that can still win (see best()). It stays exact;
-// the slab axis of tests/test_kernel_fuzz.cpp pins it to the unpruned scan.
+// scores every row's first 128, and if needed 512, dimensions from a
+// contiguous slab plane and finishes only the rows that can still win (see
+// best()). It stays exact; the slab axis of tests/test_kernel_fuzz.cpp
+// pins it to the unpruned scan.
 //
 // Word arithmetic runs on a runtime-dispatched SIMD tier (simd.hpp): the
 // scalar 64-bit word loops, AVX2, AVX-512, or NEON, selected per memory at
@@ -168,15 +169,20 @@ class PackedItemMemory {
   ///
   /// On the bipolar layout the scan is bound-pruned and still exact. Every
   /// row component is ±1, so a row's dot is at most its partial dot over
-  /// the first kSlabWords words (512 dims) plus rest = Σ|q_d| over the
-  /// other dims. Every row's partial is scored from the slab plane; rows
-  /// are then finished in descending partial order, stopping at the first
-  /// whose partial + rest is below the best dot found. Ties stay in, so the
-  /// result is the plain argmax. A query with no support past the slab
-  /// takes the top partial directly. A query whose bound would keep more
-  /// than size() / 8 rows (a noisy bipolar query) finishes on one blocked
-  /// pass over the remaining words of every row instead, at the cost of a
-  /// plain scan. Ternary-layout memories scan every row.
+  /// a prefix of its words plus rest = Σ|q_d| over the other dims. Step
+  /// one scores every row's first kSlabStepWords words (128 dims) from the
+  /// slab plane; rows are then finished in descending partial order,
+  /// stopping at the first whose partial + rest is below the best dot
+  /// found. Ties stay in, so the result is the plain argmax. A query with
+  /// no support past the scored words takes the top partial directly. A
+  /// query whose step-one walk would visit more than min(512, size() / 8)
+  /// rows (a dense query without an exact match on its support) takes step
+  /// two: the same over the first kSlabWords words (512 dims). Bipolar
+  /// queries, which step one rarely separates, take step two alone. A query
+  /// whose bound still keeps more than size() / 8 rows (a noisy bipolar
+  /// query) finishes on one blocked pass over the remaining words of every
+  /// row instead, at the cost of a plain scan. Ternary-layout memories scan
+  /// every row.
   /// \param query Packed query planes; `query.dim` must equal dim().
   /// \return Best match (index + similarity = dot / D).
   /// \throws std::invalid_argument On query dimension mismatch.
@@ -231,8 +237,9 @@ class PackedItemMemory {
   // the QueryBlockKernels loop nest (simd.hpp): row blocks stay
   // cache-resident while every query of the block visits them, so a grouped
   // batch streams the planes once per block instead of once per query.
-  // best_block runs the pruned argmax of best(): one slab pass per group of
-  // kPruneGroup (16) queries, and one fallback pass for the whole block.
+  // best_block runs the pruned argmax of best(): one or two slab passes per
+  // group of kPruneGroup (16) queries, and one fallback pass for the whole
+  // block.
   // Queries are grouped by alphabet internally (one kernel pass per
   // alphabet), so mixed blocks amortize too; ternary-layout codebooks fall
   // back to per-query scans (same results, no amortization). Results are
@@ -335,27 +342,40 @@ class PackedItemMemory {
       std::span<const PackedQuery> queries) const;
   /// Per-thread buffers of the bound-pruned argmax (defined with it).
   struct PruneScratch;
-  /// Slab pass and candidate walk of the bound-pruned argmax (bipolar
+  /// Slab passes and candidate walks of the bound-pruned argmax (bipolar
   /// layout) for the group of at most kPruneGroup queries starting at block
-  /// index `first`: sets out[i] for every query i whose walk finishes, and
-  /// appends each other query's block index to scratch.fallback, keeping
-  /// its size() slab partials in the partial slot of the same position, for
-  /// finish_fallback.
+  /// index `first`: sets out[i] for every query i whose walk finishes in
+  /// step one or two, and appends each other query to scratch.fallback,
+  /// keeping its group's partial region, for finish_fallback.
   void best_group(std::span<const PackedQuery> block, std::size_t first,
                   Match* out, PruneScratch& scratch) const;
-  /// The plain argmax of the block's fallback queries, partial + suffix
-  /// dot, in one blocked pass over every row: out[scratch.fallback[f]] for
-  /// each fallback slot f.
+  /// The plain argmax of the block's fallback queries, slab partial +
+  /// suffix dot, in one blocked pass over every row: out[fb.query] for
+  /// each entry fb of scratch.fallback.
   void finish_fallback(std::span<const PackedQuery> queries,
                        PruneScratch& scratch, Match* out) const;
+  /// Dimensions the first `words` words of a row hold.
+  [[nodiscard]] std::size_t prefix_dim(std::size_t words) const noexcept {
+    return std::min(dim_, words * kWordBits);
+  }
   /// Dimensions the slab holds: min(dim(), kSlabWords * 64).
   [[nodiscard]] std::size_t slab_dim() const noexcept {
-    return std::min(dim_, slab_words_ * kWordBits);
+    return prefix_dim(slab_words_);
   }
-  /// Σ|q_d| over the dimensions past the slab: the most any row's suffix
-  /// dot can add to its slab partial (every |row_d| <= 1).
-  [[nodiscard]] std::int64_t rest_support(
-      const PackedQuery& query) const noexcept;
+  /// Σ|q_d| over the dimensions past the first `words` words: the most any
+  /// row's suffix dot can add to its partial over those words (every
+  /// |row_d| <= 1).
+  [[nodiscard]] std::int64_t rest_support(const PackedQuery& query,
+                                          std::size_t words) const noexcept;
+  /// Candidate walk of the pruned argmax for one query whose partials over
+  /// slab words [0, words) sit chunk-major: chunk c's at p + c * stride,
+  /// its maximum at cm[c * cm_stride].
+  /// \return The exact argmax, or nullopt when the walk would visit more
+  ///   than `limit` rows.
+  [[nodiscard]] std::optional<Match> prune_walk(
+      const PackedQuery& query, std::size_t words, std::size_t limit,
+      const std::int16_t* p, std::size_t stride, const std::int16_t* cm,
+      std::size_t cm_stride, PruneScratch& scratch) const;
   /// Sets slab_words_ and, in bipolar layout, builds slab_ and slab_mask_.
   /// Called by both constructors once sign_ and layout_ are final.
   void build_slab();
@@ -404,6 +424,7 @@ class PackedItemMemory {
   std::size_t slab_words_ = 0;
   /// The slab plane (simd.hpp kSlabLanes layout): every row's first
   /// slab_words_ words, zero-padded to kSlabWords words and a whole block.
+  /// Both pruning steps read it (step one its first kSlabStepWords words).
   /// Both the packing and the adoption path build it, size() * 64 bytes;
   /// empty in ternary layout, which has no pruned scan.
   std::vector<std::uint64_t> slab_;

@@ -1,7 +1,9 @@
 #include "hdc/kernels/simd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <utility>
 
 #include "hdc/kernels/plane.hpp"
 #include "util/env.hpp"
@@ -137,19 +139,19 @@ void block_bt_scalar(const std::uint64_t* const* q_nz,
 // interleaved plane. Every vectorized slab loop must reproduce it exactly.
 void slab_scalar(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
                  std::size_t nq, const std::uint64_t* slab, std::size_t count,
-                 std::int16_t* out, std::size_t out_stride,
+                 std::size_t words, std::int16_t* out, std::size_t out_stride,
                  std::int16_t* max_out) noexcept {
   for (std::size_t q = 0; q < nq; ++q) {
     const std::uint64_t* nz = q_nz + q * kSlabWords;
     const std::uint64_t* sg = q_sg + q * kSlabWords;
     int support = 0;
-    for (std::size_t w = 0; w < kSlabWords; ++w) support += std::popcount(nz[w]);
+    for (std::size_t w = 0; w < words; ++w) support += std::popcount(nz[w]);
     std::int16_t best = INT16_MIN;
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint64_t* row =
           slab + (i / kSlabLanes) * kSlabWords * kSlabLanes + i % kSlabLanes;
       int h = 0;
-      for (std::size_t w = 0; w < kSlabWords; ++w) {
+      for (std::size_t w = 0; w < words; ++w) {
         h += std::popcount((row[w * kSlabLanes] ^ sg[w]) & nz[w]);
       }
       const auto partial = static_cast<std::int16_t>(support - 2 * h);
@@ -159,6 +161,16 @@ void slab_scalar(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
     max_out[q] = best;
   }
 }
+
+// The vector slab loops take the word count as a template argument, so
+// their row vectors stay in registers; each tier dispatches through a table
+// of its instances for W = 1 .. kSlabWords.
+using SlabWordsFn = void (*)(const std::uint64_t* q_nz,
+                             const std::uint64_t* q_sg, std::size_t nq,
+                             const std::uint64_t* slab, std::size_t count,
+                             std::int16_t* out, std::size_t out_stride,
+                             std::int16_t* max_out) noexcept;
+using SlabWordsTable = std::array<SlabWordsFn, kSlabWords>;
 
 // Fallback-merge reference: the plain first-maximum loop.
 void partial_argmax_scalar(const std::int16_t* partial,
@@ -469,8 +481,11 @@ __attribute__((target("avx2"))) void block_bt_avx2(
 
 // Slab loop: each 8-row block is two 4-row halves, one 256-bit vector per
 // half and word; a query's words are broadcast, so every lane accumulates
-// its own row's popcounts and no horizontal reduction is needed.
-__attribute__((target("avx2"))) void slab_avx2(
+// its own row's popcounts and no horizontal reduction is needed. W, the
+// words scored, is a template argument so the row vectors stay in
+// registers; slab_avx2 picks the instance.
+template <std::size_t W>
+__attribute__((target("avx2"))) void slab_avx2_words(
     const std::uint64_t* q_nz, const std::uint64_t* q_sg, std::size_t nq,
     const std::uint64_t* slab, std::size_t count, std::int16_t* out,
     std::size_t out_stride, std::int16_t* max_out) noexcept {
@@ -479,8 +494,8 @@ __attribute__((target("avx2"))) void slab_avx2(
   for (std::size_t i = 0; i < count; i += 4) {
     const std::uint64_t* blk =
         slab + (i / kSlabLanes) * kSlabWords * kSlabLanes + i % kSlabLanes;
-    __m256i r[kSlabWords];
-    for (std::size_t w = 0; w < kSlabWords; ++w) {
+    __m256i r[W];
+    for (std::size_t w = 0; w < W; ++w) {
       r[w] = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(blk + w * kSlabLanes));
     }
@@ -490,7 +505,7 @@ __attribute__((target("avx2"))) void slab_avx2(
       const std::uint64_t* sg = q_sg + q * kSlabWords;
       __m256i acc = _mm256_setzero_si256();
       std::int64_t support = 0;
-      for (std::size_t w = 0; w < kSlabWords; ++w) {
+      for (std::size_t w = 0; w < W; ++w) {
         support += std::popcount(nz[w]);
         const __m256i x = _mm256_and_si256(
             _mm256_xor_si256(r[w], _mm256_set1_epi64x(
@@ -506,6 +521,20 @@ __attribute__((target("avx2"))) void slab_avx2(
       }
     }
   }
+}
+
+template <std::size_t... I>
+constexpr SlabWordsTable slab_avx2_table(std::index_sequence<I...>) {
+  return {&slab_avx2_words<I + 1>...};
+}
+
+void slab_avx2(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
+               std::size_t nq, const std::uint64_t* slab, std::size_t count,
+               std::size_t words, std::int16_t* out, std::size_t out_stride,
+               std::int16_t* max_out) noexcept {
+  static constexpr SlabWordsTable kTable =
+      slab_avx2_table(std::make_index_sequence<kSlabWords>{});
+  kTable[words - 1](q_nz, q_sg, nq, slab, count, out, out_stride, max_out);
 }
 
 // Fallback merge in two passes: a vector maximum over two independent
@@ -1105,39 +1134,54 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void block_bt_avx512(
 // broadcast query word scores all eight rows at once and each lane keeps its
 // own row's running count — no horizontal reduction, which is what the
 // row-major blocked loops above spend most of their shuffle port on at
-// 8 words per row. The block's eight row vectors stay in registers while
-// every query visits them; (row ^ sign) & nonzero is one VPTERNLOGQ.
-__attribute__((target("avx512f,avx512vpopcntdq"))) void slab_avx512(
-    const std::uint64_t* q_nz, const std::uint64_t* q_sg, std::size_t nq,
-    const std::uint64_t* slab, std::size_t count, std::int16_t* out,
-    std::size_t out_stride, std::int16_t* max_out) noexcept {
-  // Running per-query maxima, in fixed stack groups so the kernel stays
+// 8 words per row. The block's W row vectors stay in registers while every
+// query visits them; (row ^ sign) & nonzero is one VPTERNLOGQ.
+// Row blocks (512 bytes each) between a slab block's prefetch and its
+// load. With 2 of 8 words per block, Rep-1 cleanup at M = 65536 ran about
+// 3 us per query (8-10%) faster with it in three interleaved pairs.
+constexpr std::size_t kSlabPrefetchBlocks = 16;
+
+template <std::size_t W>
+__attribute__((target("avx512f,avx512bw,avx512vpopcntdq"))) void
+slab_avx512_words(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
+                  std::size_t nq, const std::uint64_t* slab, std::size_t count,
+                  std::int16_t* out, std::size_t out_stride,
+                  std::int16_t* max_out) noexcept {
+  // Per-query supports, in fixed stack groups so the kernel stays
   // allocation-free at any nq.
   constexpr std::size_t kGroup = 16;
+  constexpr auto kWordMask = static_cast<__mmask8>((1u << W) - 1);
   for (std::size_t qb = 0; qb < nq; qb += kGroup) {
     const std::size_t qn = std::min(kGroup, nq - qb);
     std::int64_t support[kGroup];
-    __m512i vmax[kGroup];
     for (std::size_t t = 0; t < qn; ++t) {
       const std::uint64_t* nz = q_nz + (qb + t) * kSlabWords;
       support[t] = _mm512_reduce_add_epi64(
-          _mm512_popcnt_epi64(_mm512_loadu_si512(nz)));
-      vmax[t] = _mm512_set1_epi64(INT16_MIN);
+          _mm512_popcnt_epi64(_mm512_maskz_loadu_epi64(kWordMask, nz)));
     }
     for (std::size_t i = 0; i < count; i += kSlabLanes) {
       const std::uint64_t* blk = slab + (i / kSlabLanes) * kSlabWords *
                                             kSlabLanes;
-      __m512i r[kSlabWords];
-      for (std::size_t w = 0; w < kSlabWords; ++w) {
+      __m512i r[W];
+      for (std::size_t w = 0; w < W; ++w) {
+        if constexpr (W < kSlabWords) {
+          // A prefix read uses W of each block's 8 lines, a stride the
+          // hardware prefetcher follows poorly: fetch the lines this loop
+          // reads kSlabPrefetchBlocks blocks ahead (a prefetch never
+          // faults, so the plane's end needs no guard).
+          _mm_prefetch(reinterpret_cast<const char*>(
+                           blk + (kSlabPrefetchBlocks * kSlabWords + w) *
+                                     kSlabLanes),
+                       _MM_HINT_T0);
+        }
         r[w] = _mm512_loadu_si512(blk + w * kSlabLanes);
       }
       const std::size_t valid = std::min(kSlabLanes, count - i);
-      const auto m = static_cast<__mmask8>((1u << valid) - 1);
       for (std::size_t t = 0; t < qn; ++t) {
         const std::uint64_t* nz = q_nz + (qb + t) * kSlabWords;
         const std::uint64_t* sg = q_sg + (qb + t) * kSlabWords;
         __m512i acc = _mm512_setzero_si512();
-        for (std::size_t w = 0; w < kSlabWords; ++w) {
+        for (std::size_t w = 0; w < W; ++w) {
           // 0x28 = (a ^ b) & c for a = sign, b = row, c = nonzero. The
           // instruction overwrites its first operand, so that one is the
           // fresh broadcast, not the row kept for the next query.
@@ -1149,16 +1193,48 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void slab_avx512(
         }
         const __m512i p = _mm512_sub_epi64(_mm512_set1_epi64(support[t]),
                                            _mm512_add_epi64(acc, acc));
-        vmax[t] = _mm512_mask_max_epi64(vmax[t], m, vmax[t], p);
-        _mm512_mask_cvtepi64_storeu_epi16(out + (qb + t) * out_stride + i, m,
-                                          p);
+        std::int16_t* o = out + (qb + t) * out_stride + i;
+        if (valid == kSlabLanes) {
+          _mm_storeu_si128(reinterpret_cast<__m128i*>(o),
+                           _mm512_cvtepi64_epi16(p));
+        } else {
+          _mm512_mask_cvtepi64_storeu_epi16(
+              o, static_cast<__mmask8>((1u << valid) - 1), p);
+        }
       }
     }
+    // Maxima from the stored partials, 32 per vector: cheaper than a
+    // running 64-bit maximum per row block.
     for (std::size_t t = 0; t < qn; ++t) {
-      max_out[qb + t] =
-          static_cast<std::int16_t>(_mm512_reduce_max_epi64(vmax[t]));
+      const std::int16_t* o = out + (qb + t) * out_stride;
+      __m512i vmax = _mm512_set1_epi16(INT16_MIN);
+      for (std::size_t i = 0; i < count; i += 32) {
+        const std::size_t n = std::min<std::size_t>(32, count - i);
+        const __mmask32 m = n == 32 ? ~__mmask32{0} : (__mmask32{1} << n) - 1;
+        vmax = _mm512_max_epi16(
+            vmax, _mm512_mask_loadu_epi16(_mm512_set1_epi16(INT16_MIN), m,
+                                          o + i));
+      }
+      max_out[qb + t] = static_cast<std::int16_t>(
+          _mm512_reduce_max_epi32(_mm512_max_epi32(
+              _mm512_srai_epi32(vmax, 16),
+              _mm512_srai_epi32(_mm512_slli_epi32(vmax, 16), 16))));
     }
   }
+}
+
+template <std::size_t... I>
+constexpr SlabWordsTable slab_avx512_table(std::index_sequence<I...>) {
+  return {&slab_avx512_words<I + 1>...};
+}
+
+void slab_avx512(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
+                 std::size_t nq, const std::uint64_t* slab, std::size_t count,
+                 std::size_t words, std::int16_t* out, std::size_t out_stride,
+                 std::int16_t* max_out) noexcept {
+  static constexpr SlabWordsTable kTable =
+      slab_avx512_table(std::make_index_sequence<kSlabWords>{});
+  kTable[words - 1](q_nz, q_sg, nq, slab, count, out, out_stride, max_out);
 }
 
 // Fallback merge: as the AVX2 loop, eight rows per vector and VPMAXSQ.

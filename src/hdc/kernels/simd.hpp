@@ -140,8 +140,12 @@ struct BatchDotKernels {
     SimdLevel level) noexcept;
 
 /// Words per row of a slab plane: the 512-dimension (one cache line)
-/// prefix the pruned argmax scores first.
+/// prefix the pruned argmax scores in its second step.
 inline constexpr std::size_t kSlabWords = 8;
+
+/// Words of each slab-plane row the pruned argmax's first step scores: the
+/// 128-dimension prefix, read from the same plane as the full slab.
+inline constexpr std::size_t kSlabStepWords = 2;
 
 /// Rows per interleaved block of a slab plane. Block b holds rows
 /// [8b, 8b + 8), word-major: row i's word w sits at
@@ -180,16 +184,19 @@ struct QueryBlockKernels {
                        std::int64_t* out) noexcept;
   /// Slab partials of the pruned argmax: nq queries in (nonzero, sign)
   /// form against `count` rows of a slab plane (kSlabLanes-interleaved,
-  /// kSlabWords words per row, zero-padded to a whole block). Query q's
-  /// planes are q_nz[q * kSlabWords ..] and q_sg[q * kSlabWords ..]; a
-  /// bipolar query passes an all-ones nonzero mask over its dimensions.
-  /// Writes out[q * out_stride + i] = Σ_w popcount(nz_w) -
-  /// 2 Σ_w popcount((row_w ^ sg_w) & nz_w), the exact dot over the slab
-  /// (|value| <= 512), and max_out[q] = the largest of query q's `count`
-  /// values (INT16_MIN when count is 0).
+  /// kSlabWords words per row, zero-padded to a whole block), over the
+  /// row words [0, words), 1 <= words <= kSlabWords. Query q's planes are
+  /// q_nz[q * kSlabWords ..] and q_sg[q * kSlabWords ..]; a bipolar query
+  /// passes an all-ones nonzero mask over its dimensions. Writes
+  /// out[q * out_stride + i] = Σ_w popcount(nz_w) -
+  /// 2 Σ_w popcount((row_w ^ sg_w) & nz_w) over w < words, the exact dot
+  /// over those words (|value| <= 64 * words), and max_out[q] = the
+  /// largest of query q's `count` values (INT16_MIN when count is 0). The
+  /// pruned argmax passes out_stride = 256, one chunk's rows, so the
+  /// queries' stores of a row block land in different cache sets.
   void (*slab_rows)(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
                     std::size_t nq, const std::uint64_t* slab,
-                    std::size_t count, std::int16_t* out,
+                    std::size_t count, std::size_t words, std::int16_t* out,
                     std::size_t out_stride, std::int16_t* max_out) noexcept;
   /// The pruned argmax's fallback merge: the first maximum of
   /// partial[i] + suffix[i] over i < count (count >= 1). Writes the maximum

@@ -30,10 +30,14 @@
 // The slab axis pins the bound-pruned argmax of PackedItemMemory::best /
 // best_block to the unpruned blocked scan (argmax over dots_block) on every
 // tier: planted ties below the first visited row, duplicates, all-zero
-// queries, an empty first slab, noise queries that take the fallback, a
-// stop inside the candidate walk, memories smaller than one query group,
-// dims 63/65/513/1000, and the threaded path of a memory at the pool
-// threshold. The slab kernel itself is checked against the scalar loop.
+// queries, an empty first slab, dense queries that take the 512-dim second
+// step (bipolar ones alone, ternary ones after the 128-dim first step
+// cannot separate them), Rep-1 queries with no or little
+// support in the first step's dims, noise queries that take the fallback,
+// a stop inside the candidate walk of each step, memories smaller than one
+// query group and spanning three chunks, dims 63/65/100/129/513/1000, and
+// the threaded path of a memory at the pool threshold. The slab kernel
+// itself is checked against the scalar loop at every word count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -895,6 +899,18 @@ Hypervector flip_range(Hypervector v, std::size_t begin, std::size_t end,
 }
 
 constexpr std::size_t kSlabDims = kernels::kSlabWords * kernels::kWordBits;
+// Dims the pruned argmax's first step scores.
+constexpr std::size_t kStepDims =
+    kernels::kSlabStepWords * kernels::kWordBits;
+
+// `q` with its support cut to `keep` nonzero dims inside the first step's
+// dims, zero elsewhere there; past them it is unchanged.
+Hypervector thin_first_step(Hypervector q, std::size_t keep) {
+  for (std::size_t i = 0, n = 0; i < std::min(q.dim(), kStepDims); ++i) {
+    if (q[i] != 0 && n++ >= keep) q[i] = 0;
+  }
+  return q;
+}
 
 // A bipolar codebook with duplicate rows and a planted tie: rows `low` <
 // `high` have the same dot with `tie_query`, but the lower row's slab
@@ -952,17 +968,34 @@ std::vector<Hypervector> slab_queries(const SlabCase& sc, Xoshiro256& rng) {
       rep1_query(cb.item(std::min<std::size_t>(4, cb.size() - 1)), 0.25, rng);
   for (std::size_t i = kSlabDims; i < dim; ++i) early[i] = 0;
   qs.push_back(std::move(early));
+  // Dense and high-similarity with one zero dim, so ternary: step one's
+  // 128 dims cannot separate it, and it escalates to the full slab (step
+  // two) and prunes there. (The bipolar 5%-flip query above takes step two
+  // alone.)
+  Hypervector dense = flip_noise(row(), 0.05, rng);
+  dense[dim - 1] = 0;
+  qs.push_back(std::move(dense));
+  // Rep-1 with no support in the first step's dims: every step-one partial
+  // is 0, so the first step keeps every row.
+  qs.push_back(thin_first_step(rep1_query(row(), 0.125, rng), 0));
+  // Rep-1 with 2 nonzero dims there: about size() / 4 rows tie at the top
+  // step-one partial, past the first step's cap.
+  qs.push_back(thin_first_step(rep1_query(row(), 0.125, rng), 2));
   qs.push_back(sc.tie_query);                        // tie below the seed
   return qs;
 }
 
 TEST(KernelFuzz, PrunedArgmaxMatchesUnprunedOracleOnEveryLevel) {
   Xoshiro256 rng(20261020);
-  for (std::size_t dim : {std::size_t{63}, std::size_t{65}, std::size_t{513},
-                          std::size_t{1000}, std::size_t{2048}}) {
-    // Fewer rows than one query group, one chunk, and two chunks.
+  // 63, 65 and 100 hold at most two words, so the first step scores the
+  // whole slab; 129 is one dim past the first step.
+  for (std::size_t dim :
+       {std::size_t{63}, std::size_t{65}, std::size_t{100}, std::size_t{129},
+        std::size_t{513}, std::size_t{1000}, std::size_t{2048}}) {
+    // Fewer rows than one query group, one chunk, two chunks, and three
+    // chunks with a ragged last one.
     for (std::size_t size : {std::size_t{5}, std::size_t{40},
-                             std::size_t{300}}) {
+                             std::size_t{300}, std::size_t{700}}) {
       SCOPED_TRACE("dim=" + std::to_string(dim) +
                    " size=" + std::to_string(size));
       const SlabCase sc = make_slab_case(dim, size, rng);
@@ -1003,30 +1036,52 @@ TEST(KernelFuzz, PrunedArgmaxMatchesUnprunedOracleOnEveryLevel) {
 }
 
 TEST(KernelFuzz, PrunedWalkStopsAtTheBound) {
-  // The walk's stop inside a candidate list: row `top` has the highest
-  // slab partial but a poor full dot, row `win` the best dot, and row
-  // `cut` a partial just too low to reach `win` once it is scored.
+  // The walk's stop inside a candidate list, in each step: row `top` has
+  // the highest partial but a poor full dot, row `win` the best dot, and
+  // row `cut` a partial just too low to reach `win` once it is scored.
+  // The query is bipolar but for its last dim, so it takes step one. With
+  // the rows planted over the full slab, the first step's walk meets too
+  // many noise rows after `top` and the query goes on to step two, which
+  // stops in its list; planted over the first step's dims, the first
+  // step's own walk stops in its list.
   Xoshiro256 rng(20261025);
   for (std::size_t dim : {std::size_t{1000}, std::size_t{2048}}) {
-    const Hypervector q = random_bipolar(dim, rng);
-    std::vector<Hypervector> rows;
-    for (std::size_t i = 0; i < 64; ++i) rows.push_back(random_bipolar(dim, rng));
-    const std::size_t top = 40, win = 41, cut = 7;
-    rows[top] = flip_range(q, kSlabDims, dim, 60);  // partial 512, dot D-120
-    rows[win] = flip_range(q, 0, kSlabDims, 2);     // partial 508, dot D-4
-    rows[cut] = flip_range(flip_range(q, 0, kSlabDims, 4), kSlabDims, dim,
-                           30);                     // partial 504, dot D-68
-    const Codebook cb(std::move(rows));
-    for (SimdLevel level : available_levels()) {
-      SCOPED_TRACE("dim=" + std::to_string(dim) + " " +
-                   kernels::to_string(level));
-      const kernels::PackedItemMemory pm(cb, level);
-      const std::vector<PackedQuery> block = pack_all({q}, level);
-      const Match got = pm.best(block[0]);
-      EXPECT_EQ(got.index, win);
-      EXPECT_EQ(got.index, unpruned_best(pm, block)[0].index);
-      EXPECT_EQ(got.similarity,
-                static_cast<double>(dim - 4) / static_cast<double>(dim));
+    for (std::size_t scored : {kSlabDims, kStepDims}) {
+      Hypervector q = random_bipolar(dim, rng);
+      q[dim - 1] = 0;  // support S = D - 1
+      std::vector<Hypervector> rows;
+      for (std::size_t i = 0; i < 64; ++i) {
+        rows.push_back(random_bipolar(dim, rng));
+      }
+      // Rows equal q's signs; the last dim, where q is zero, stays +1.
+      const auto planted = [&](std::size_t begin, std::size_t end,
+                               std::size_t count) {
+        Hypervector r = flip_range(q, begin, end, count);
+        r[dim - 1] = 1;
+        return r;
+      };
+      const std::size_t top = 40, win = 41, cut = 7;
+      // Over the first step's dims, `top`'s dot leaves a cut of
+      // 128 - 2 * 30 = 68 that no noise row's 128-dim partial reaches.
+      const bool slab = scored == kSlabDims;
+      rows[top] = planted(scored, dim, slab ? 60 : 30);  // S-120, S-60
+      rows[win] = planted(0, scored, 2);                 // dot S-4
+      rows[cut] = slab ? flip_range(planted(0, scored, 4), scored, dim,
+                                    30)                  // dot S-68
+                       : planted(0, scored, 4);          // dot S-8
+      const Codebook cb(std::move(rows));
+      for (SimdLevel level : available_levels()) {
+        SCOPED_TRACE("dim=" + std::to_string(dim) + " scored=" +
+                     std::to_string(scored) + " " + kernels::to_string(level));
+        const kernels::PackedItemMemory pm(cb, level);
+        const std::vector<PackedQuery> block = pack_all({q}, level);
+        ASSERT_FALSE(block[0].bipolar);
+        const Match got = pm.best(block[0]);
+        EXPECT_EQ(got.index, win);
+        EXPECT_EQ(got.index, unpruned_best(pm, block)[0].index);
+        EXPECT_EQ(got.similarity,
+                  static_cast<double>(dim - 5) / static_cast<double>(dim));
+      }
     }
   }
 }
@@ -1063,61 +1118,66 @@ TEST(KernelFuzz, PrunedItemMemoryKeepsScanAccountingAndScalarRoute) {
 
 TEST(KernelFuzz, SlabKernelMatchesScalarOnEveryLevel) {
   // QueryBlockKernels::slab_rows at every tier against the scalar loop and
-  // against DotKernels over the same words: full and partial 8-row blocks,
-  // query counts straddling the AVX-512 16-query group.
+  // against DotKernels over the same words: every word count the kernel
+  // takes (1 .. kSlabWords, including the first step's kSlabStepWords),
+  // full and partial row blocks, query counts straddling the AVX-512
+  // 16-query group.
   Xoshiro256 rng(20261023);
   const SimdLevel ref_level = SimdLevel::kScalarWords;
+  constexpr std::size_t lanes = kernels::kSlabLanes;
+  constexpr std::size_t slab_words = kernels::kSlabWords;
   for (std::size_t count : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                             std::size_t{9}, std::size_t{256}}) {
-    const std::size_t blocks = (count + kernels::kSlabLanes - 1) /
-                               kernels::kSlabLanes;
-    std::vector<std::uint64_t> slab(blocks * kernels::kSlabLanes *
-                                    kernels::kSlabWords);
+    const std::size_t blocks = (count + lanes - 1) / lanes;
+    std::vector<std::uint64_t> slab(blocks * lanes * slab_words);
     for (std::uint64_t& w : slab) w = rng();
     for (std::size_t nq : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
-      SCOPED_TRACE("count=" + std::to_string(count) +
-                   " nq=" + std::to_string(nq));
-      std::vector<std::uint64_t> nz(nq * kernels::kSlabWords);
-      std::vector<std::uint64_t> sg(nq * kernels::kSlabWords);
+      std::vector<std::uint64_t> nz(nq * slab_words);
+      std::vector<std::uint64_t> sg(nq * slab_words);
       for (std::size_t i = 0; i < nz.size(); ++i) {
         nz[i] = i % 3 == 0 ? ~0ULL : rng() & rng();  // bipolar and sparse
         sg[i] = rng();
       }
-      std::vector<std::int16_t> want(nq * count), want_max(nq);
-      kernels::query_block_kernels(ref_level)
-          .slab_rows(nz.data(), sg.data(), nq, slab.data(), count,
-                     want.data(), count, want_max.data());
-      for (std::size_t q = 0; q < nq; ++q) {
-        std::int16_t m = INT16_MIN;
-        for (std::size_t i = 0; i < count; ++i) {
-          std::uint64_t row[kernels::kSlabWords];
-          for (std::size_t w = 0; w < kernels::kSlabWords; ++w) {
-            row[w] = slab[(i / 8) * 64 + w * 8 + i % 8];
-          }
-          const std::int64_t d = kernels::dot_bipolar_ternary(
-              row, &nz[q * kernels::kSlabWords], &sg[q * kernels::kSlabWords],
-              kernels::kSlabWords);
-          EXPECT_EQ(d, want[q * count + i]);
-          m = std::max<std::int16_t>(m, static_cast<std::int16_t>(d));
-        }
-        EXPECT_EQ(m, want_max[q]);
-      }
-      for (SimdLevel level : available_levels()) {
-        SCOPED_TRACE(kernels::to_string(level));
-        // Padded output stride: each query writes only its own row span.
-        const std::size_t stride = count + 5;
-        std::vector<std::int16_t> got(nq * stride, 12345), got_max(nq);
-        kernels::query_block_kernels(level).slab_rows(
-            nz.data(), sg.data(), nq, slab.data(), count, got.data(), stride,
-            got_max.data());
+      for (std::size_t words = 1; words <= slab_words; ++words) {
+        SCOPED_TRACE("count=" + std::to_string(count) + " nq=" +
+                     std::to_string(nq) + " words=" + std::to_string(words));
+        std::vector<std::int16_t> want(nq * count), want_max(nq);
+        kernels::query_block_kernels(ref_level)
+            .slab_rows(nz.data(), sg.data(), nq, slab.data(), count, words,
+                       want.data(), count, want_max.data());
         for (std::size_t q = 0; q < nq; ++q) {
+          std::int16_t m = INT16_MIN;
           for (std::size_t i = 0; i < count; ++i) {
-            EXPECT_EQ(want[q * count + i], got[q * stride + i]);
+            // Row i's word w: block i / lanes, word-major, lane i % lanes.
+            std::uint64_t row[slab_words];
+            for (std::size_t w = 0; w < words; ++w) {
+              row[w] = slab[(i / lanes) * lanes * slab_words + w * lanes +
+                            i % lanes];
+            }
+            const std::int64_t d = kernels::dot_bipolar_ternary(
+                row, &nz[q * slab_words], &sg[q * slab_words], words);
+            EXPECT_EQ(d, want[q * count + i]);
+            m = std::max<std::int16_t>(m, static_cast<std::int16_t>(d));
           }
-          for (std::size_t i = count; i < stride; ++i) {
-            EXPECT_EQ(got[q * stride + i], 12345);
+          EXPECT_EQ(m, want_max[q]);
+        }
+        for (SimdLevel level : available_levels()) {
+          SCOPED_TRACE(kernels::to_string(level));
+          // Padded output stride: each query writes only its own row span.
+          const std::size_t stride = count + 5;
+          std::vector<std::int16_t> got(nq * stride, 12345), got_max(nq);
+          kernels::query_block_kernels(level).slab_rows(
+              nz.data(), sg.data(), nq, slab.data(), count, words, got.data(),
+              stride, got_max.data());
+          for (std::size_t q = 0; q < nq; ++q) {
+            for (std::size_t i = 0; i < count; ++i) {
+              EXPECT_EQ(want[q * count + i], got[q * stride + i]);
+            }
+            for (std::size_t i = count; i < stride; ++i) {
+              EXPECT_EQ(got[q * stride + i], 12345);
+            }
+            EXPECT_EQ(want_max[q], got_max[q]);
           }
-          EXPECT_EQ(want_max[q], got_max[q]);
         }
       }
     }
@@ -1202,6 +1262,19 @@ TEST(PrunedScanThreads, ThreadedPrunedArgmaxMatchesOracle) {
   qs.push_back(random_ternary(dim, 0.5, rng));
   qs.push_back(Hypervector(dim));
   qs.push_back(flip_noise(row_hv(rng.uniform(size)), 0.2, rng));
+  // Dense queries that take the threaded step two and prune there (the
+  // bipolar ones alone, the ternary ones after step one), and Rep-1
+  // queries whose first step keeps too many rows.
+  for (std::size_t i = 0; i < 3; ++i) {
+    qs.push_back(flip_noise(row_hv(rng.uniform(size)), 0.05, rng));
+    Hypervector dense = flip_noise(row_hv(rng.uniform(size)), 0.05, rng);
+    dense[dim - 1] = 0;
+    qs.push_back(std::move(dense));
+    qs.push_back(
+        thin_first_step(rep1_query(row_hv(rng.uniform(size)), 0.125, rng), i));
+  }
+  // A second noise query in the block, so the fallback merges two.
+  qs.push_back(random_bipolar(dim, rng));
   // The same planes as the sign plane of a ternary layout (nonzero plane
   // random), which keeps the plain threaded argmax.
   auto nonzero = std::make_shared<std::vector<std::uint64_t>>(size * words);

@@ -333,6 +333,7 @@ int cmd_info() {
   // The exact argmax, and the tiered (two-stage) scan configuration as the
   // env knobs resolve it.
   std::cout << "exact argmax:    bound-pruned after a "
+            << hk::kSlabStepWords * hk::kWordBits << "-dim, then a "
             << hk::kSlabWords * hk::kWordBits
             << "-dim slab on bipolar codebooks\n";
   const std::size_t tier_min = hk::tiered_auto_min_rows();
