@@ -120,9 +120,8 @@ PointResult run_point(std::size_t m, std::size_t dim, std::size_t queries,
   PointResult r;
   r.m = m;
 
-  // Generate, pack, and derive the query set inside one scope so the int32
-  // codebook (the dominant transient: M * D * 4 bytes) is freed before the
-  // timed scans; both memories own their planes.
+  // Generate the codebook and derive the query set inside one scope; the
+  // packed memory keeps the codebook's planes alive past it.
   std::shared_ptr<const PackedItemMemory> packed;
   std::vector<PackedQuery> qs;
   qs.reserve(queries);

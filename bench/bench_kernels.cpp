@@ -183,8 +183,8 @@ BENCHMARK(BM_ScanDotsPacked)->Apply(scan_args);
 // measures how well the blocked kernels amortize one codebook stream across
 // the block (the >= 3x acceptance bound at M=4096, D=8192).
 //
-// The memory adopts random bipolar planes directly, so the 65536 x 4096
-// point holds 32 MB of planes instead of a 1 GB int32 codebook. A noisy
+// The memory scans a generated codebook's sign planes, 32 MB at the
+// 65536 x 4096 point. A noisy
 // query is a row with 20% of its signs flipped: bipolar, with most of its
 // mass past the first 512-dimension slab, so neither step of the pruned
 // argmax's bound drops rows and the scan finishes on its full fallback
@@ -198,14 +198,11 @@ struct BlockScanFixture {
   };
   BlockScanFixture(std::size_t m, std::size_t dim, std::size_t q,
                    Queries kind = Queries::kNoisy)
-      : rng(12),
-        planes(random_planes(m, dim, rng)),
-        memory(hdc::kernels::PackedItemMemory::Layout::kBipolar, dim, m,
-               planes->data(), nullptr, planes) {
+      : rng(12), codebook(dim, m, rng), memory(codebook) {
     const std::size_t words = memory.words_per_row();
     queries.reserve(q);
     for (std::size_t i = 0; i < q; ++i) {
-      const std::uint64_t* row = planes->data() + (i % m) * words;
+      const std::uint64_t* row = memory.row_sign(i % m).data();
       hdc::kernels::PackedQuery pq;
       pq.dim = dim;
       pq.bipolar = kind != Queries::kRep1;
@@ -226,20 +223,8 @@ struct BlockScanFixture {
       queries.push_back(std::move(pq));
     }
   }
-  // Uniform random sign planes with zero bits past `dim` in each last word.
-  static std::shared_ptr<std::vector<std::uint64_t>> random_planes(
-      std::size_t m, std::size_t dim, util::Xoshiro256& rng) {
-    const std::size_t words = hdc::kernels::plane_words(dim);
-    auto planes = std::make_shared<std::vector<std::uint64_t>>(m * words);
-    const std::uint64_t tail =
-        dim % 64 == 0 ? ~0ULL : (1ULL << (dim % 64)) - 1;
-    for (std::size_t i = 0; i < planes->size(); ++i) {
-      (*planes)[i] = rng() & (i % words == words - 1 ? tail : ~0ULL);
-    }
-    return planes;
-  }
   util::Xoshiro256 rng;
-  std::shared_ptr<std::vector<std::uint64_t>> planes;
+  hdc::Codebook codebook;
   hdc::kernels::PackedItemMemory memory;
   std::vector<hdc::kernels::PackedQuery> queries;
 };

@@ -77,10 +77,11 @@ ImcResult ImcFactorizer::factorize(const hdc::Hypervector& target) const {
       if (active == 0) attention[best_index[f]] = best;
 
       std::fill(acc.begin(), acc.end(), 0.0);
+      const std::vector<hdc::Hypervector>& rows = model_->codebook(f).rows();
       for (std::size_t j = 0; j < m; ++j) {
         const double w = attention[j];
         if (w == 0.0) continue;
-        const auto* item = model_->codebook(f).item(j).data();
+        const auto* item = rows[j].data();
         for (std::size_t k = 0; k < d; ++k) acc[k] += w * item[k];
       }
       hdc::Hypervector next(d);

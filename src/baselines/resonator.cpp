@@ -34,7 +34,7 @@ ResonatorResult ResonatorNetwork::factorize(
   for (std::size_t f = 0; f < f_count; ++f) {
     hdc::Hypervector sum(d);
     for (std::size_t j = 0; j < m; ++j) {
-      hdc::accumulate(sum, model_->codebook(f).item(j));
+      model_->codebook(f).accumulate_item(j, sum);
     }
     est[f] = hdc::sign_bipolar(sum);
   }
@@ -76,10 +76,11 @@ ResonatorResult ResonatorNetwork::factorize(
       } else {
         // Project back onto the codebook span and bipolarize.
         std::fill(acc.begin(), acc.end(), 0);
+        const std::vector<hdc::Hypervector>& rows = model_->codebook(f).rows();
         for (std::size_t j = 0; j < m; ++j) {
           const auto w = attention[j];
           if (w == 0) continue;
-          const auto* item = model_->codebook(f).item(j).data();
+          const auto* item = rows[j].data();
           for (std::size_t k = 0; k < d; ++k) acc[k] += w * item[k];
         }
         auto* pn = next.data();

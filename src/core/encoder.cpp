@@ -14,7 +14,7 @@ hdc::Hypervector Encoder::encode_clause(
   }
   if (path) {
     for (std::size_t l = 1; l <= path->size(); ++l) {
-      hdc::accumulate(clause, books_->item(cls, l, (*path)[l - 1]));
+      books_->level_codebook(cls, l).accumulate_item((*path)[l - 1], clause);
     }
   } else {
     hdc::accumulate(clause, books_->null_hv());

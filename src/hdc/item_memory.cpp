@@ -40,7 +40,7 @@ std::optional<SimdLevel> forced_simd_level(ScanBackend backend) noexcept {
 }
 
 // A loaded snapshot is adopted only when its packed rows are bit-equal to
-// a fresh packing of the codebook: same geometry, same SIMD tier, and
+// the codebook's own planes: same geometry, same SIMD tier, and
 // plane-for-plane identical words. Anything else — a snapshot of a
 // different codebook, a stale save, a different dimension — is rejected
 // and the caller rebuilds, so adoption can never change a scan result.
@@ -83,8 +83,7 @@ ItemMemory::ItemMemory(const Codebook& codebook, ScanBackend backend,
   }
   // Adopt the offered snapshot after verification, or pay the k-means
   // build. On adoption packed_ switches to the snapshot's planes so exact
-  // and tiered scans read the same (possibly mmap-shared) memory and the
-  // verification packing is freed.
+  // and tiered scans read the same (possibly mmap-shared) memory.
   const auto build_tier = [&] {
     if (snapshot != nullptr && snapshot_matches(*snapshot, *packed_)) {
       packed_ = snapshot->shared_rows();
@@ -109,7 +108,7 @@ ItemMemory::ItemMemory(const Codebook& codebook, ScanBackend backend,
     case ScanBackend::kScalar:
       break;
     case ScanBackend::kPacked:
-      // Throws std::invalid_argument when the codebook is not packable.
+      // Throws std::invalid_argument when the codebook has no planes.
       packed_ = std::make_shared<const PackedItemMemory>(codebook);
       break;
     case ScanBackend::kTiered:
@@ -126,9 +125,8 @@ ItemMemory::ItemMemory(const Codebook& codebook, ScanBackend backend,
       break;
     }
     case ScanBackend::kAuto:
-      // One read of the codebook validates and packs it; null means an
-      // entry outside {-1, 0, +1} (or an empty codebook), which stays
-      // scalar.
+      // Adopts the codebook's planes; null means an entry outside
+      // {-1, 0, +1}, which stays scalar.
       packed_ = PackedItemMemory::try_pack(codebook);
       if (!packed_ && tiered.has_value()) {
         // An explicit config promises a tier index; never drop it silently.
@@ -230,9 +228,10 @@ Match ItemMemory::best(const Hypervector& query, ScanMode mode,
     if (scanned != nullptr) *scanned = packed_->size();
     return packed_->best(*q);
   }
-  Match m{0, similarity(query, codebook_->item(0))};
-  for (std::size_t j = 1; j < codebook_->size(); ++j) {
-    const double s = similarity(query, codebook_->item(j));
+  const std::vector<Hypervector>& rows = codebook_->rows();
+  Match m{0, similarity(query, rows[0])};
+  for (std::size_t j = 1; j < rows.size(); ++j) {
+    const double s = similarity(query, rows[j]);
     if (s > m.similarity) m = {j, s};
   }
   count(codebook_->size());
@@ -308,9 +307,10 @@ Match ItemMemory::best_among(const Hypervector& query,
     count(indices.size());
     return packed_->best_among(*q, indices);
   }
-  Match m{indices[0], similarity(query, codebook_->item(indices[0]))};
+  const std::vector<Hypervector>& rows = codebook_->rows();
+  Match m{indices[0], similarity(query, rows.at(indices[0]))};
   for (std::size_t k = 1; k < indices.size(); ++k) {
-    const double s = similarity(query, codebook_->item(indices[k]));
+    const double s = similarity(query, rows.at(indices[k]));
     if (s > m.similarity) m = {indices[k], s};
   }
   count(indices.size());
@@ -344,9 +344,10 @@ std::vector<Match> ItemMemory::above(const Hypervector& query,
     if (scanned != nullptr) *scanned = packed_->size();
     return packed_->above(*q, threshold);
   }
+  const std::vector<Hypervector>& rows = codebook_->rows();
   std::vector<Match> out;
-  for (std::size_t j = 0; j < codebook_->size(); ++j) {
-    const double s = similarity(query, codebook_->item(j));
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const double s = similarity(query, rows[j]);
     if (s > threshold) out.push_back({j, s});
   }
   count(codebook_->size());
@@ -362,9 +363,10 @@ std::vector<Match> ItemMemory::above_among(
     count(indices.size());
     return packed_->above_among(*q, threshold, indices);
   }
+  const std::vector<Hypervector>& rows = codebook_->rows();
   std::vector<Match> out;
   for (std::size_t j : indices) {
-    const double s = similarity(query, codebook_->item(j));
+    const double s = similarity(query, rows.at(j));
     if (s > threshold) out.push_back({j, s});
   }
   count(indices.size());
@@ -405,10 +407,11 @@ std::vector<Match> ItemMemory::top_k(const Hypervector& query, std::size_t k,
     if (scanned != nullptr) *scanned = packed_->size();
     return packed_->top_k(*q, k);
   }
+  const std::vector<Hypervector>& rows = codebook_->rows();
   std::vector<Match> all;
-  all.reserve(codebook_->size());
-  for (std::size_t j = 0; j < codebook_->size(); ++j) {
-    all.push_back({j, similarity(query, codebook_->item(j))});
+  all.reserve(rows.size());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    all.push_back({j, similarity(query, rows[j])});
   }
   count(codebook_->size());
   if (scanned != nullptr) *scanned = codebook_->size();
@@ -434,8 +437,9 @@ void ItemMemory::dots(const Hypervector& query,
     packed_->dots(*q, out);
     return;
   }
-  for (std::size_t j = 0; j < codebook_->size(); ++j) {
-    out[j] = dot(query, codebook_->item(j));
+  const std::vector<Hypervector>& rows = codebook_->rows();
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    out[j] = dot(query, rows[j]);
   }
   count(codebook_->size());
 }

@@ -8,17 +8,19 @@
 //
 // Scans run on one of two backends:
 //
-//  * scalar  — int32 dot products straight off the codebook (works for any
-//    query and any codebook alphabet);
-//  * packed  — the hdc/kernels/ word-plane scans: the codebook is packed
-//    once into 64-bit sign/nonzero planes and each scan is XOR+popcount
-//    arithmetic, 64 dimensions per word operation. Bit-identical results
-//    (index, similarity, ordering) to the scalar backend.
+//  * scalar  — int32 dot products over Codebook::rows() (works for any
+//    query and any codebook alphabet). On a bipolar/ternary codebook that
+//    int32 view is built from the planes on the first scalar scan;
+//  * packed  — the hdc/kernels/ word-plane scans over the codebook's own
+//    64-bit sign/nonzero planes (adopted, not copied): each scan is
+//    XOR+popcount arithmetic, 64 dimensions per word operation.
+//    Bit-identical results (index, similarity, ordering) to the scalar
+//    backend.
 //
 // With the default kAuto selection, a bipolar or ternary codebook gets the
 // packed backend and every bipolar/ternary query runs on it; integer-bundle
 // queries (e.g. the multi-object residual) transparently fall back to the
-// scalar loop per call. Copies share the immutable packed planes.
+// scalar loop per call. Copies share the immutable packed memory.
 //
 // The packed argmax (best / best_block) is bound-pruned on bipolar
 // codebooks: rows whose partial dot over the first 128 (or, for queries
@@ -101,10 +103,11 @@ enum class ScanMode {
 class ItemMemory {
  public:
   /// Non-owning view over a codebook; the codebook must outlive the memory.
-  /// With kAuto (the default) a bipolar/ternary codebook is additionally
-  /// packed into word planes at construction (O(size * dim) once), and the
-  /// tiered index is built on top when the codebook has at least
-  /// kernels::tiered_auto_min_rows() rows (or when `tiered` is given).
+  /// With kAuto (the default) a bipolar/ternary codebook's word planes are
+  /// adopted at construction (no copy; only the pruned argmax's slab plane
+  /// is built, 64 bytes per row), and the tiered index is built on top when
+  /// the codebook has at least kernels::tiered_auto_min_rows() rows (or when
+  /// `tiered` is given).
   /// \param codebook Codebook to scan; must outlive this object.
   /// \param backend Backend selection policy (see ScanBackend).
   /// \param tiered Explicit tier configuration. With kTiered it overrides
@@ -122,14 +125,13 @@ class ItemMemory {
   ///   see hdc/kernels/tiered_snapshot.hpp) offered in place of the k-means
   ///   build. It is adopted only where this constructor would build a tier
   ///   index anyway, and only after its packed row planes are verified
-  ///   bit-equal to a fresh packing of `codebook` — a snapshot of the wrong
-  ///   or a stale codebook is silently rejected and the tier is rebuilt, so
-  ///   scans are bit-identical either way. On adoption the memory's exact
-  ///   scans also run off the snapshot's (possibly mmap-shared) planes and
-  ///   the fresh packing is dropped. Check adoption via tiered() pointer
-  ///   identity. A whole-codebook snapshot is never adopted while sharding
-  ///   is active (the partition needs per-shard indexes — see
-  ///   kernels::load_sharded_index()).
+  ///   bit-equal to `codebook`'s own planes — a snapshot of the wrong or a
+  ///   stale codebook is silently rejected and the tier is rebuilt, so scans
+  ///   are bit-identical either way. On adoption the memory's exact scans
+  ///   also run off the snapshot's (possibly mmap-shared) planes. Check
+  ///   adoption via tiered() pointer identity. A whole-codebook snapshot is
+  ///   never adopted while sharding is active (the partition needs
+  ///   per-shard indexes — see kernels::load_sharded_index()).
   ///
   /// \param sharded Shard configuration (kernels::ShardedConfig). With
   ///   kSharded it is the partition spec (shards of 0 resolve from
@@ -338,8 +340,8 @@ class ItemMemory {
   }
 
   const Codebook* codebook_;
-  /// Word-plane packing of the codebook; null on the scalar backend. Shared
-  /// (immutable after construction) so ItemMemory copies stay cheap.
+  /// Scans over the codebook's word planes; null on the scalar backend.
+  /// Shared (immutable after construction) so ItemMemory copies stay cheap.
   std::shared_ptr<const kernels::PackedItemMemory> packed_;
   /// Two-stage tier index over packed_; null unless backend() is kTiered.
   /// Shares packed_'s row planes (immutable after construction).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -55,56 +54,41 @@ ScanNestingGuard::~ScanNestingGuard() { --scan_nesting_depth; }
 
 bool scan_nesting_active() noexcept { return scan_nesting_depth > 0; }
 
-namespace {
-
-// Packing reads 256 bytes of int32 components per plane word, 64x what a
-// scan reads, so it crosses the spawn+join break-even at a far smaller
-// codebook: 2^20 components (4 MB of int32) take just under a millisecond
-// on one AVX-512 core (2^28 took 0.16-0.20 s). The taxonomy codebooks of
-// the paper experiments (M <= a few hundred, D <= 8192) pack sequentially.
-constexpr std::size_t kParallelPackMinComponents = std::size_t{1} << 20;
-
-}  // namespace
-
 bool PackedItemMemory::packable(const Codebook& codebook) {
-  return try_pack(codebook) != nullptr;
+  return codebook.has_planes();
 }
 
 std::shared_ptr<const PackedItemMemory> PackedItemMemory::try_pack(
     const Codebook& codebook, std::optional<SimdLevel> level) {
-  std::shared_ptr<const PackedItemMemory> mem(
-      new PackedItemMemory(codebook, level, Unchecked{}));
-  if (mem->sign_ == nullptr) return nullptr;
-  return mem;
+  if (!codebook.has_planes()) return nullptr;
+  return std::make_shared<const PackedItemMemory>(codebook, level);
 }
 
-PackedItemMemory::PackedItemMemory(const Codebook& codebook,
-                                   std::optional<SimdLevel> level)
-    : PackedItemMemory(codebook, level, Unchecked{}) {
-  if (size_ == 0 || dim_ == 0) {
-    throw std::invalid_argument("PackedItemMemory: empty codebook");
-  }
-  if (sign_ == nullptr) {
+namespace {
+
+const Codebook& require_planes(const Codebook& codebook) {
+  if (!codebook.has_planes()) {
     throw std::invalid_argument(
         "PackedItemMemory: codebook entry outside {-1,0,+1}");
   }
+  return codebook;
 }
 
+}  // namespace
+
+// The codebook's planes are adopted as they are; its storage is the
+// keepalive, so the memory outlives the Codebook object itself.
 PackedItemMemory::PackedItemMemory(const Codebook& codebook,
-                                   std::optional<SimdLevel> level, Unchecked)
-    : size_(codebook.size()),
-      dim_(codebook.dim()),
-      words_(plane_words(codebook.dim())),
-      level_(level.value_or(dispatched_simd_level())),
-      kernels_(&dot_kernels(level_)) {
-  if (size_ == 0 || dim_ == 0 || !pack_rows(codebook)) return;
-  sign_ = owned_sign_.data();
-  if (!owned_nonzero_.empty()) {
-    layout_ = Layout::kTernary;
-    nonzero_ = owned_nonzero_.data();
-  }
-  build_slab();
-}
+                                   std::optional<SimdLevel> level)
+    : PackedItemMemory(require_planes(codebook).nonzero_plane().empty()
+                           ? Layout::kBipolar
+                           : Layout::kTernary,
+                       codebook.dim(), codebook.size(),
+                       codebook.sign_plane().data(),
+                       codebook.nonzero_plane().empty()
+                           ? nullptr
+                           : codebook.nonzero_plane().data(),
+                       codebook.storage(), level) {}
 
 // The slab plane holds each bipolar row's first kSlabWords words (zero past
 // the row's width), interleaved kSlabLanes rows per block so the slab
@@ -130,55 +114,6 @@ void PackedItemMemory::build_slab() {
     const std::size_t bits = std::min(kWordBits, dim_ - w * kWordBits);
     slab_mask_[w] = bits == kWordBits ? ~0ULL : (1ULL << bits) - 1;
   }
-}
-
-// One read of each entry through the tier's fused packer validates it,
-// packs its sign plane and reports its zeros. Each row packs independently
-// into its own plane slice, so the planes are byte-identical for any worker
-// count. The nonzero plane is allocated only once some row holds a zero, so
-// a bipolar codebook never holds a second plane: until then each worker
-// packs nonzero words into a one-row scratch. The first zero row allocates
-// the plane pre-filled with all-nonzero rows (what the packer emits for a
-// zero-free row); from then on that worker packs straight into it.
-bool PackedItemMemory::pack_rows(const Codebook& codebook) {
-  owned_sign_.assign(size_ * words_, 0);
-  std::vector<std::uint64_t> full_row(words_, ~0ULL);
-  if (const std::size_t tail = dim_ % kWordBits; tail != 0) {
-    full_row.back() = (1ULL << tail) - 1;
-  }
-  std::once_flag nonzero_once;
-  std::atomic<bool> invalid{false};
-  const auto pack_range = [&](std::size_t begin, std::size_t end) {
-    std::vector<std::uint64_t> scratch(words_);
-    bool have_plane = false;
-    for (std::size_t row = begin; row < end; ++row) {
-      if (invalid.load(std::memory_order_relaxed)) return;
-      std::uint64_t* nz =
-          have_plane ? &owned_nonzero_[row * words_] : scratch.data();
-      bool any_zero = false;
-      if (!kernels_->pack_planes(codebook.item(row).data(), dim_,
-                                 &owned_sign_[row * words_], nz, &any_zero)) {
-        invalid.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (any_zero && !have_plane) {
-        std::call_once(nonzero_once, [&] {
-          owned_nonzero_.reserve(size_ * words_);
-          for (std::size_t r = 0; r < size_; ++r) {
-            owned_nonzero_.insert(owned_nonzero_.end(), full_row.begin(),
-                                  full_row.end());
-          }
-        });
-        have_plane = true;
-        std::copy(scratch.begin(), scratch.end(),
-                  &owned_nonzero_[row * words_]);
-      }
-    }
-  };
-  const bool parallel = !scan_nesting_active() &&
-                        size_ * dim_ >= kParallelPackMinComponents;
-  run_row_blocks(size_, parallel ? scan_pool_width() : 1, pack_range);
-  return !invalid.load();
 }
 
 PackedItemMemory::PackedItemMemory(Layout layout, std::size_t dim,

@@ -1,11 +1,13 @@
 // PackedItemMemory: whole-codebook similarity scans over bit-packed planes.
 //
-// Packs an entire codebook once into contiguous, row-major 64-bit word
-// planes — bipolar codebooks into a single sign plane, ternary codebooks
-// into nonzero + sign planes — and answers the same scan queries as the
-// scalar hdc::ItemMemory (best / best_among / above / above_among / top_k)
-// with XOR+popcount plane arithmetic: 64 dimensions per word operation
-// instead of one int32 multiply-add per dimension.
+// Scans a codebook held as contiguous, row-major 64-bit word planes —
+// bipolar codebooks as a single sign plane, ternary codebooks as nonzero +
+// sign planes. Those planes are the codebook's own storage (hdc::Codebook),
+// adopted here without a copy; snapshot planes are adopted the same way.
+// It answers the same scan queries as the scalar hdc::ItemMemory (best /
+// best_among / above / above_among / top_k) with XOR+popcount plane
+// arithmetic: 64 dimensions per word operation instead of one int32
+// multiply-add per dimension.
 //
 // Results are bit-identical to the scalar path. Dot products over the
 // {-1,0,+1} alphabets are exact integers either way, the similarity is the
@@ -29,9 +31,10 @@
 // stay independent of thread count. All tiers and thread counts produce
 // bit-identical results.
 //
-// This class is the packing + kernel layer only; backend selection and the
-// scalar fallback for integer-bundle queries live in hdc::ItemMemory, which
-// dispatches here when both the codebook and the query admit plane packing.
+// This class is the plane-scan + kernel layer only; backend selection and
+// the scalar fallback for integer-bundle queries live in hdc::ItemMemory,
+// which dispatches here when the codebook has planes and the query admits
+// plane packing.
 #pragma once
 
 #include <algorithm>
@@ -81,39 +84,35 @@ class ScanNestingGuard {
 
 class PackedItemMemory {
  public:
-  /// Plane layout selected from the codebook's alphabet at pack time.
+  /// Plane layout, from the codebook's alphabet.
   enum class Layout {
     kBipolar,  ///< one sign plane per entry (all entries in {-1,+1}^D)
     kTernary,  ///< nonzero + sign planes per entry (entries in {-1,0,+1}^D)
   };
 
-  /// Tests the precondition of the packing constructor by packing. Callers
-  /// that go on to scan should call try_pack() and keep its result instead
-  /// of reading the codebook twice.
+  /// Tests the precondition of the codebook constructor.
   /// \param codebook Codebook to test.
-  /// \return True when the codebook is non-empty with non-zero dimension and
-  ///   every entry lies in {-1, 0, +1}^D. Bipolar and ternary entries may be
-  ///   mixed; such a codebook packs in the ternary layout.
+  /// \return True when the codebook stores word planes
+  ///   (Codebook::has_planes): every entry lies in {-1, 0, +1}^D. Bipolar
+  ///   and ternary entries may be mixed; such a codebook has the ternary
+  ///   layout.
   [[nodiscard]] static bool packable(const Codebook& codebook);
 
-  /// Packs `codebook` as the constructor does, but reports an unpackable
-  /// codebook by returning null instead of throwing. This is the kAuto
-  /// backend's single read of the codebook: validation and packing are one
-  /// pass.
+  /// Adopts `codebook`'s planes as the constructor does, but reports a
+  /// codebook without planes by returning null instead of throwing (the
+  /// kAuto backend's route).
   /// \param codebook Source codebook of any alphabet.
-  /// \param level As the packing constructor.
-  /// \return The packed memory, or null when `packable(codebook)` is false.
+  /// \param level As the codebook constructor.
+  /// \return The memory, or null when `packable(codebook)` is false.
   [[nodiscard]] static std::shared_ptr<const PackedItemMemory> try_pack(
       const Codebook& codebook, std::optional<SimdLevel> level = std::nullopt);
 
-  /// Packs `codebook` into word planes. The codebook is only read during
-  /// construction; the packed memory owns its planes and stays valid even if
-  /// the codebook is later destroyed. Each row goes once through the
-  /// memory's own tier's DotKernels::pack_planes, which validates and packs
-  /// it in one pass; large codebooks split their rows across the scan pool
-  /// in fixed contiguous blocks (sequential under a ScanNestingGuard). The
-  /// planes are identical for every tier and worker count. The layout is
-  /// kTernary as soon as any entry holds a zero, else kBipolar.
+  /// Scans `codebook`'s own word planes (Codebook::sign_plane /
+  /// nonzero_plane): nothing is copied or packed, and the codebook's plane
+  /// storage is held as the keepalive, so the memory stays valid even if
+  /// the Codebook object is later destroyed. The layout is kTernary when
+  /// the codebook has a nonzero plane (some entry holds a zero), else
+  /// kBipolar. Only the slab plane of the pruned argmax is built.
   /// \param codebook Source codebook (bipolar or ternary entries).
   /// \param level SIMD tier the scans run at; std::nullopt (the default)
   ///   selects the runtime-dispatched level (CPUID clamped by FACTORHD_SIMD).
@@ -124,9 +123,10 @@ class PackedItemMemory {
   explicit PackedItemMemory(const Codebook& codebook,
                             std::optional<SimdLevel> level = std::nullopt);
 
-  /// Adopts pre-packed planes without copying — the snapshot-load path
-  /// (tiered_snapshot.hpp), where the planes live in an mmap'd file or a
-  /// deserialized buffer owned by `keepalive`.
+  /// Adopts pre-packed planes without copying — the codebook constructor's
+  /// and the snapshot-load path's (tiered_snapshot.hpp) route, where the
+  /// planes live in a codebook's storage, an mmap'd file or a deserialized
+  /// buffer owned by `keepalive`.
   ///
   /// The planes must be row-major with plane_words(dim) words per row and
   /// the canonical-tail invariant (bits >= dim in the last word zero); the
@@ -139,7 +139,7 @@ class PackedItemMemory {
   /// \param nonzero Row-major nonzero planes for kTernary layout; must be
   ///   nullptr for kBipolar.
   /// \param keepalive Owner of the plane storage (kept alive by this memory).
-  /// \param level As the packing constructor.
+  /// \param level As the codebook constructor.
   /// \throws std::invalid_argument On zero size/dim, a null `sign`, or a
   ///   `nonzero` inconsistent with `layout`.
   PackedItemMemory(Layout layout, std::size_t dim, std::size_t size,
@@ -147,8 +147,8 @@ class PackedItemMemory {
                    std::shared_ptr<const void> keepalive,
                    std::optional<SimdLevel> level = std::nullopt);
 
-  // The plane pointers alias the owned vectors on the packing path, so the
-  // defaulted copies would dangle. Scans share one memory via shared_ptr.
+  // The slab plane is built per memory; scans share one memory via
+  // shared_ptr.
   PackedItemMemory(const PackedItemMemory&) = delete;
   PackedItemMemory& operator=(const PackedItemMemory&) = delete;
 
@@ -317,16 +317,6 @@ class PackedItemMemory {
   void dots(const Hypervector& query, std::span<std::int64_t> out) const;
 
  private:
-  /// Tag of the packing constructor that leaves sign_ null instead of
-  /// throwing when the codebook is empty or unpackable (try_pack's path).
-  struct Unchecked {};
-  PackedItemMemory(const Codebook& codebook, std::optional<SimdLevel> level,
-                   Unchecked);
-  /// Packs every codebook row into owned_sign_ (and owned_nonzero_, which
-  /// stays empty unless some entry holds a zero).
-  /// \return False when an entry lies outside {-1, 0, +1}.
-  bool pack_rows(const Codebook& codebook);
-
   /// Query block regrouped by alphabet for the QueryBlockKernels loop nest:
   /// one plane-pointer array per alphabet plus the original query index of
   /// each subgroup entry, so reductions map kernel output back to query
@@ -411,27 +401,24 @@ class PackedItemMemory {
   /// Kernel table of level_ (static storage inside simd.cpp, never null).
   const DotKernels* kernels_ = nullptr;
   Layout layout_ = Layout::kBipolar;
-  /// Row-major sign planes: sign_[row * words_ + w]. Points into owned_sign_
-  /// on the packing path, or into `keepalive_`-owned storage (an mmap'd
-  /// snapshot or a deserialized buffer) on the adoption path.
+  /// Row-major sign planes: sign_[row * words_ + w]. Points into
+  /// `keepalive_`-owned storage: a codebook's planes, an mmap'd snapshot or
+  /// a deserialized buffer.
   const std::uint64_t* sign_ = nullptr;
   /// Row-major nonzero planes; nullptr in bipolar layout.
   const std::uint64_t* nonzero_ = nullptr;
-  /// Plane storage built by the packing constructor (empty when adopted).
-  std::vector<std::uint64_t> owned_sign_;
-  std::vector<std::uint64_t> owned_nonzero_;
   /// Words of each row the slab pass scores: min(kSlabWords, words_).
   std::size_t slab_words_ = 0;
   /// The slab plane (simd.hpp kSlabLanes layout): every row's first
   /// slab_words_ words, zero-padded to kSlabWords words and a whole block.
   /// Both pruning steps read it (step one its first kSlabStepWords words).
-  /// Both the packing and the adoption path build it, size() * 64 bytes;
+  /// Every constructor builds it, size() * 64 bytes;
   /// empty in ternary layout, which has no pruned scan.
   std::vector<std::uint64_t> slab_;
   /// Nonzero plane of a bipolar query over the slab: ones on the
   /// dimensions the slab holds.
   std::array<std::uint64_t, kSlabWords> slab_mask_{};
-  /// Owner of adopted plane storage; null on the packing path.
+  /// Owner of the plane storage sign_ and nonzero_ point into.
   std::shared_ptr<const void> keepalive_;
 };
 

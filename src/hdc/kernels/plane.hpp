@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
@@ -60,6 +61,41 @@ struct PackedQuery {
   [[nodiscard]] static std::optional<PackedQuery> pack(const Hypervector& v,
                                                        SimdLevel level);
 };
+
+/// Packs codebook rows into row-major word planes: row r's words at
+/// [r * plane_words(dim), (r + 1) * plane_words(dim)), canonical tails. One
+/// read of each entry through the dispatched tier's fused packer
+/// (DotKernels::pack_planes) validates and packs it; codebooks of at least
+/// 2^20 components split their rows across the scan pool in fixed
+/// contiguous blocks (sequential under a ScanNestingGuard,
+/// packed_item_memory.hpp). The planes are identical for every tier and
+/// worker count.
+/// \param rows Rows to pack, each of dimension `dim`.
+/// \param dim Row dimension (non-zero).
+/// \param sign Receives the sign planes.
+/// \param nonzero Receives the nonzero planes when some entry is 0; left
+///   empty otherwise (a bipolar codebook holds one plane).
+/// \return False when an entry lies outside {-1, 0, +1}; the planes are
+///   then unspecified.
+[[nodiscard]] bool pack_rows(std::span<const Hypervector> rows,
+                             std::size_t dim, std::vector<std::uint64_t>& sign,
+                             std::vector<std::uint64_t>& nonzero);
+
+/// Unpacks row-major planes (pack_rows' layout) into int32 rows through
+/// the dispatched tier's DotKernels::accumulate_planes. Sets of at least
+/// 2^16 components split their rows across the scan pool in fixed
+/// contiguous blocks, also inside an outer worker pool: the cost is
+/// first-touch page faults on the new rows, and the build runs once per
+/// codebook. The rows are identical for every tier and worker count.
+/// \param size Number of rows.
+/// \param dim Row dimension (non-zero).
+/// \param sign Sign planes, size * plane_words(dim) words.
+/// \param nonzero Nonzero planes as long as `sign`, or nullptr when every
+///   entry is nonzero.
+/// \return The rows, in order.
+[[nodiscard]] std::vector<Hypervector> unpack_rows(
+    std::size_t size, std::size_t dim, const std::uint64_t* sign,
+    const std::uint64_t* nonzero);
 
 /// Dot product of two bipolar sign planes.
 /// \param a,b Sign planes with canonical tails.

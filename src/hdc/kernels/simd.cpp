@@ -86,8 +86,44 @@ bool pack_planes_scalar(const std::int32_t* p, std::size_t dim,
   return true;
 }
 
+// kByteBits[b][k] = bit k of byte b, as an int32 0 or 1: eight plane bits
+// become eight components per table row instead of a branch per bit.
+constexpr auto kByteBits = [] {
+  std::array<std::array<std::int32_t, 8>, 256> table{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    for (std::size_t k = 0; k < 8; ++k) table[b][k] = (b >> k) & 1u;
+  }
+  return table;
+}();
+
+// A component is 2 * sign - nonzero: +1, -1, or 0 where the nonzero bit is
+// clear (a canonical ternary row has no sign bit there). The accumulate
+// kernels carry the multi-object factorization's candidate re-encodings;
+// like dot and similarity (similarity.cpp) each is pinned to a 64-byte
+// boundary, so code added elsewhere cannot move its loop.
+__attribute__((aligned(64))) void accumulate_planes_scalar(
+    std::int32_t* p, std::size_t dim, const std::uint64_t* sign,
+    const std::uint64_t* nonzero) noexcept {
+  for (std::size_t i = 0, w = 0; i < dim; i += kWordBits, ++w) {
+    std::uint64_t s = sign[w];
+    std::uint64_t nz = nonzero != nullptr ? nonzero[w] : ~0ULL;
+    const std::size_t n = std::min(kWordBits, dim - i);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8, s >>= 8, nz >>= 8) {
+      const auto& sb = kByteBits[s & 0xffu];
+      const auto& nb = kByteBits[nz & 0xffu];
+      for (std::size_t j = 0; j < 8; ++j) p[i + k + j] += 2 * sb[j] - nb[j];
+    }
+    for (; k < n; ++k, s >>= 1, nz >>= 1) {
+      p[i + k] += 2 * static_cast<std::int32_t>(s & 1u) -
+                  static_cast<std::int32_t>(nz & 1u);
+    }
+  }
+}
+
 constexpr DotKernels kScalarKernels{dot_bb_scalar, dot_bt_scalar,
-                                    dot_tt_scalar, pack_planes_scalar};
+                                    dot_tt_scalar, pack_planes_scalar,
+                                    accumulate_planes_scalar};
 
 // Batch tier reference: the per-row kernels applied in row order. Every
 // vectorized batch loop must reproduce these integers exactly.
@@ -441,8 +477,43 @@ __attribute__((target("avx2"))) void batch_bt_avx2(
   if (i < count) out[i] = dot_bt_avx2(rows + i * stride, q_nz, q_sg, words);
 }
 
+// Eight components per byte of the planes: each lane tests its own bit of
+// the broadcast byte, so the compare masks are -1 on a set bit. Adding
+// -mask_sign gives +1 on the set sign bits, and adding (nonzero & ~sign)'s
+// mask gives -1 on the nonzero clear ones. A partial last word takes the
+// scalar kernel.
+__attribute__((target("avx2"), aligned(64))) void accumulate_planes_avx2(
+    std::int32_t* p, std::size_t dim, const std::uint64_t* sign,
+    const std::uint64_t* nonzero) noexcept {
+  const __m256i bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  std::size_t w = 0;
+  for (; (w + 1) * kWordBits <= dim; ++w) {
+    std::uint64_t s = sign[w];
+    std::uint64_t nz = nonzero != nullptr ? nonzero[w] : ~0ULL;
+    std::int32_t* base = p + w * kWordBits;
+    for (std::size_t k = 0; k < kWordBits; k += 8, s >>= 8, nz >>= 8) {
+      const __m256i ms = _mm256_cmpeq_epi32(
+          _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(s & 0xffu)),
+                           bits),
+          bits);
+      const __m256i mn = _mm256_cmpeq_epi32(
+          _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(nz & 0xffu)),
+                           bits),
+          bits);
+      auto* q = reinterpret_cast<__m256i*>(base + k);
+      const __m256i v = _mm256_loadu_si256(q);
+      _mm256_storeu_si256(q, _mm256_add_epi32(_mm256_sub_epi32(v, ms),
+                                              _mm256_andnot_si256(ms, mn)));
+    }
+  }
+  if (w * kWordBits < dim) {
+    accumulate_planes_scalar(p + w * kWordBits, dim - w * kWordBits, sign + w,
+                             nonzero != nullptr ? nonzero + w : nullptr);
+  }
+}
+
 constexpr DotKernels kAVX2Kernels{dot_bb_avx2, dot_bt_avx2, dot_tt_avx2,
-                                  pack_planes_avx2};
+                                  pack_planes_avx2, accumulate_planes_avx2};
 constexpr BatchDotKernels kAVX2BatchKernels{batch_bb_avx2, batch_bt_avx2};
 
 // Blocked loops: cache blocking only. A 64-row chunk (up to 64 KiB of
@@ -901,8 +972,34 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
   if (i < count) out[i] = dot_bt_avx512(rows + i * stride, q_nz, q_sg, words);
 }
 
+// Sixteen components per 16-bit slice of the planes, straight from the
+// k-registers: a masked +1 on the set sign bits, a masked -1 on the nonzero
+// clear ones. Loads and stores are masked to the dimension, so the bits a
+// bipolar row's complement sets past it are never applied.
+__attribute__((target("avx512f"), aligned(64))) void accumulate_planes_avx512(
+    std::int32_t* p, std::size_t dim, const std::uint64_t* sign,
+    const std::uint64_t* nonzero) noexcept {
+  const __m512i one = _mm512_set1_epi32(1);
+  for (std::size_t i = 0, w = 0; i < dim; i += kWordBits, ++w) {
+    const std::uint64_t s = sign[w];
+    const std::uint64_t neg = (nonzero != nullptr ? nonzero[w] : ~0ULL) & ~s;
+    const std::size_t n = std::min(kWordBits, dim - i);
+    for (std::size_t c = 0; c < n; c += 16) {
+      const __mmask16 in = n - c >= 16
+                               ? static_cast<__mmask16>(0xffff)
+                               : static_cast<__mmask16>((1u << (n - c)) - 1);
+      std::int32_t* q = p + i + c;
+      __m512i v = _mm512_maskz_loadu_epi32(in, q);
+      v = _mm512_mask_add_epi32(v, static_cast<__mmask16>(s >> c), v, one);
+      v = _mm512_mask_sub_epi32(v, static_cast<__mmask16>(neg >> c), v, one);
+      _mm512_mask_storeu_epi32(q, in, v);
+    }
+  }
+}
+
 constexpr DotKernels kAVX512Kernels{dot_bb_avx512, dot_bt_avx512,
-                                    dot_tt_avx512, pack_planes_avx512};
+                                    dot_tt_avx512, pack_planes_avx512,
+                                    accumulate_planes_avx512};
 constexpr BatchDotKernels kAVX512BatchKernels{batch_bb_avx512,
                                               batch_bt_avx512};
 
@@ -1369,7 +1466,8 @@ std::int64_t dot_tt_neon(const std::uint64_t* a_nz, const std::uint64_t* a_sg,
 }
 
 constexpr DotKernels kNEONKernels{dot_bb_neon, dot_bt_neon, dot_tt_neon,
-                                  pack_planes_scalar};
+                                  pack_planes_scalar,
+                                  accumulate_planes_scalar};
 
 // Batch loops: per-row NEON dots. This already removes the indirect call per
 // prefix dot; no two-row unroll until a target shows it pays.

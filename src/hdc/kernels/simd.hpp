@@ -74,7 +74,8 @@ enum class SimdLevel {
 /// One SIMD tier's kernel set. All three dot kernels take canonical-tail
 /// planes (bits >= dim zero in the last word) and return the exact integer
 /// dot product — identical across tiers. pack_planes is the fused query
-/// packer: int32 components -> sign/nonzero planes with canonical tails.
+/// packer: int32 components -> sign/nonzero planes with canonical tails;
+/// accumulate_planes is its inverse, added into int32 components.
 struct DotKernels {
   /// dot of two bipolar sign planes (= dim - 2 * hamming).
   std::int64_t (*bipolar_bipolar)(const std::uint64_t* a,
@@ -99,6 +100,13 @@ struct DotKernels {
   bool (*pack_planes)(const std::int32_t* components, std::size_t dim,
                       std::uint64_t* sign, std::uint64_t* nonzero,
                       bool* any_zero) noexcept;
+  /// Adds a row stored as planes (canonical tails, plane_words(dim) words
+  /// each) into `dim` int32 components: +1 on a set sign bit, -1 on a clear
+  /// one, 0 where `nonzero` has a clear bit. `nonzero` is nullptr for a
+  /// bipolar row (nonzero everywhere).
+  void (*accumulate_planes)(std::int32_t* components, std::size_t dim,
+                            const std::uint64_t* sign,
+                            const std::uint64_t* nonzero) noexcept;
 };
 
 /// Kernel table for `level`. Levels not compiled into this binary (e.g.

@@ -141,12 +141,12 @@ class TieredItemMemory {
     std::uint64_t probes = 0;
   };
 
-  /// Packs `codebook` and builds the tier index over it.
-  /// \param codebook Source codebook (bipolar or ternary entries); only read
-  ///   during construction.
+  /// Adopts `codebook`'s planes and builds the tier index over them.
+  /// \param codebook Source codebook (bipolar or ternary entries); its
+  ///   plane storage is kept alive by the index.
   /// \param config Cluster/probe configuration (zeros = auto).
   /// \param level SIMD tier for both scan stages; std::nullopt = dispatched.
-  /// \throws std::invalid_argument When the codebook is not packable.
+  /// \throws std::invalid_argument When the codebook has no planes.
   explicit TieredItemMemory(const Codebook& codebook, TieredConfig config = {},
                             std::optional<SimdLevel> level = std::nullopt);
 

@@ -1,8 +1,11 @@
 #include "hdc/ops.hpp"
 
 #include <cmath>
-#include <vector>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
+
+#include "hdc/kernels/simd.hpp"
 
 namespace factorhd::hdc {
 
@@ -23,21 +26,36 @@ Hypervector bundle(std::span<const Hypervector> vs) {
   return out;
 }
 
-void accumulate(Hypervector& target, const Hypervector& v) {
+// accumulate, subtract, bind, bind_inplace and clip_ternary_inplace carry
+// the multi-object factorization's residual updates and candidate
+// re-encodings. Like dot and similarity (similarity.cpp), each is pinned to
+// a 64-byte boundary, so code added elsewhere in the library cannot move
+// their loops and with them that workload's speed (the plane-accumulate
+// kernels behind accumulate_planes are pinned in kernels/simd.cpp).
+[[gnu::aligned(64)]] void accumulate(Hypervector& target,
+                                     const Hypervector& v) {
   require_same_dim(target, v, "accumulate");
   auto* pt = target.data();
   const auto* pv = v.data();
   for (std::size_t i = 0, n = target.dim(); i < n; ++i) pt[i] += pv[i];
 }
 
-void subtract(Hypervector& target, const Hypervector& v) {
+void accumulate_planes(Hypervector& target, const std::uint64_t* sign,
+                       const std::uint64_t* nonzero) {
+  kernels::dot_kernels(kernels::dispatched_simd_level())
+      .accumulate_planes(target.data(), target.dim(), sign, nonzero);
+}
+
+[[gnu::aligned(64)]] void subtract(Hypervector& target,
+                                   const Hypervector& v) {
   require_same_dim(target, v, "subtract");
   auto* pt = target.data();
   const auto* pv = v.data();
   for (std::size_t i = 0, n = target.dim(); i < n; ++i) pt[i] -= pv[i];
 }
 
-Hypervector bind(const Hypervector& a, const Hypervector& b) {
+[[gnu::aligned(64)]] Hypervector bind(const Hypervector& a,
+                                      const Hypervector& b) {
   require_same_dim(a, b, "bind");
   Hypervector out(a.dim());
   const auto* pa = a.data();
@@ -54,7 +72,8 @@ Hypervector bind(std::span<const Hypervector> vs) {
   return out;
 }
 
-void bind_inplace(Hypervector& target, const Hypervector& v) {
+[[gnu::aligned(64)]] void bind_inplace(Hypervector& target,
+                                       const Hypervector& v) {
   require_same_dim(target, v, "bind_inplace");
   auto* pt = target.data();
   const auto* pv = v.data();
@@ -67,7 +86,7 @@ Hypervector clip_ternary(const Hypervector& v) {
   return out;
 }
 
-void clip_ternary_inplace(Hypervector& v) {
+[[gnu::aligned(64)]] void clip_ternary_inplace(Hypervector& v) {
   auto* p = v.data();
   for (std::size_t i = 0, n = v.dim(); i < n; ++i) {
     p[i] = p[i] > 0 ? 1 : (p[i] < 0 ? -1 : 0);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "hdc/hypervector.hpp"
@@ -34,6 +35,20 @@ namespace factorhd::hdc {
 /// \param v Hypervector to add.
 /// \throws std::invalid_argument On dimension mismatch or empty input.
 void accumulate(Hypervector& target, const Hypervector& v);
+
+/// In-place accumulate of a row stored as word planes (the
+/// hdc/kernels/plane.hpp layout: bit i of word w is dimension 64 * w + i,
+/// bits past the dimension zero): target += row, where a row component is
+/// +1 on a set sign bit, -1 on a clear one, and 0 wherever the nonzero
+/// plane, when given, has a clear bit. Adding into a zero HV unpacks the
+/// row. Runs the dispatched SIMD tier's kernels::DotKernels::
+/// accumulate_planes.
+/// \param target Accumulator; its dimension is the row's.
+/// \param sign Sign plane of the row, ceil(target.dim() / 64) words.
+/// \param nonzero Nonzero plane of a ternary row (as long as `sign`), or
+///   nullptr for a bipolar row.
+void accumulate_planes(Hypervector& target, const std::uint64_t* sign,
+                       const std::uint64_t* nonzero);
 
 /// In-place subtract: target -= v (used when excluding a reconstructed object
 /// from a multi-object bundle during factorization).

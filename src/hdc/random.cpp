@@ -1,46 +1,28 @@
 #include "hdc/random.hpp"
 
-#include <array>
 #include <cstdint>
-#include <cstring>
+#include <vector>
+
+#include "hdc/kernels/plane.hpp"
+#include "hdc/ops.hpp"
 
 namespace factorhd::hdc {
 
-namespace {
-
-// kByteComponents[b][k] = component for bit k of byte b: +1 where the bit is
-// set, else -1. Eight components per table copy instead of a branch per bit.
-constexpr auto kByteComponents = [] {
-  std::array<std::array<Hypervector::value_type, 8>, 256> table{};
-  for (std::size_t b = 0; b < 256; ++b) {
-    for (std::size_t k = 0; k < 8; ++k) {
-      table[b][k] = ((b >> k) & 1u) != 0 ? 1 : -1;
-    }
-  }
-  return table;
-}();
-
-}  // namespace
-
 Hypervector random_bipolar(std::size_t dim, util::Xoshiro256& rng) {
+  std::vector<std::uint64_t> sign(kernels::plane_words(dim));
+  random_sign_words(dim, rng, sign.data());
   Hypervector out(dim);
-  auto* p = out.data();
-  // Each 64-bit draw fills the next 64 components, low bit first (+1 for a
-  // set bit); a final partial word uses only its low bits. Whole bytes go
-  // through the table, the bits of a trailing partial byte one at a time.
-  for (std::size_t i = 0; i < dim; i += 64) {
-    std::uint64_t bits = rng();
-    const std::size_t chunk = dim - i < 64 ? dim - i : 64;
-    std::size_t k = 0;
-    for (; k + 8 <= chunk; k += 8, bits >>= 8) {
-      std::memcpy(p + i + k, kByteComponents[bits & 0xffu].data(),
-                  sizeof(kByteComponents[0]));
-    }
-    for (; k < chunk; ++k, bits >>= 1) {
-      p[i + k] = (bits & 1u) != 0 ? 1 : -1;
-    }
-  }
+  accumulate_planes(out, sign.data(), nullptr);
   return out;
+}
+
+void random_sign_words(std::size_t dim, util::Xoshiro256& rng,
+                       std::uint64_t* out) {
+  const std::size_t words = kernels::plane_words(dim);
+  for (std::size_t w = 0; w < words; ++w) out[w] = rng();
+  if (const std::size_t tail = dim % kernels::kWordBits; tail != 0) {
+    out[words - 1] &= (std::uint64_t{1} << tail) - 1;
+  }
 }
 
 Hypervector random_ternary(std::size_t dim, double sparsity,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "hdc/hypervector.hpp"
 #include "util/rng.hpp"
@@ -14,12 +15,22 @@
 namespace factorhd::hdc {
 
 /// Uniform random bipolar HV in {-1,+1}^D. Draws 64 components per generator
-/// call (one bit each).
+/// call (one bit each): the HV random_sign_words() draws, unpacked.
 /// \param dim Hypervector dimension.
 /// \param rng Source of randomness.
 /// \return A random bipolar hypervector.
 [[nodiscard]] Hypervector random_bipolar(std::size_t dim,
                                          util::Xoshiro256& rng);
+
+/// Sign plane of a uniform random bipolar HV (hdc/kernels/plane.hpp
+/// layout): one generator call per 64-bit word, component 64 * w + i is +1
+/// where bit i of word w is set, and the bits past `dim` in the last word
+/// are cleared. Same draws, same components as random_bipolar().
+/// \param dim Hypervector dimension.
+/// \param rng Source of randomness.
+/// \param out Destination, ceil(dim / 64) words.
+void random_sign_words(std::size_t dim, util::Xoshiro256& rng,
+                       std::uint64_t* out);
 
 /// Random ternary HV: each component is 0 with probability `sparsity`,
 /// otherwise ±1 with equal probability.

@@ -30,16 +30,19 @@ namespace factorhd::service {
 ///
 /// \par Contract (build once, share everywhere)
 /// Construction is where every per-codebook index is paid for exactly
-/// once: the word-plane packing of each (class, level) codebook, with the
-/// slab plane of its pruned argmax, and — only under an explicit
-/// hdc::ScanBackend::kTiered or a nonzero FACTORHD_TIERED_MIN_ROWS (default
-/// 0, never) — the tiered two-stage scan index (k-means clustering +
-/// packed centroids). After make() returns, the
-/// Model is deeply immutable, so any number of engines and sessions share
-/// one instance, packed planes and tier index included, through
+/// once: the slab plane of each (class, level) codebook's pruned argmax
+/// (the scans adopt the codebooks' own word planes), and — only under an
+/// explicit hdc::ScanBackend::kTiered or a nonzero FACTORHD_TIERED_MIN_ROWS
+/// (default 0, never) — the tiered two-stage scan index (k-means
+/// clustering + packed centroids). After make() returns, the Model is
+/// deeply immutable, so any number of engines and sessions share one
+/// instance, packed planes and tier index included, through
 /// shared_ptr<const Model> with no further synchronization and no
-/// per-request rebuild cost. Retuning a FACTORHD_TIERED_* knob therefore
-/// takes effect at the next load, never mid-flight.
+/// per-request rebuild cost. The one exception is each codebook's int32
+/// view (hdc::Codebook::rows()), built under call_once by the first
+/// integer-bundle (Rep-3) scan that reaches it. Retuning a
+/// FACTORHD_TIERED_* knob therefore takes effect at the next load, never
+/// mid-flight.
 class Model {
  public:
   /// Builds a model from in-memory codebooks (the registry's file loader
@@ -106,7 +109,7 @@ class Model {
   /// Shard configuration as requested at construction (reshard provenance).
   std::optional<hdc::kernels::ShardedConfig> sharded_;
   core::Encoder encoder_;      ///< views books_
-  core::Factorizer factorizer_;  ///< views encoder_; packs the codebooks
+  core::Factorizer factorizer_;  ///< views encoder_; scans books_' planes
 };
 
 /// Thread-safe name → Model map. Loading the same name twice replaces the

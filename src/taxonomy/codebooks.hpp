@@ -51,10 +51,9 @@ class TaxonomyCodebooks {
   [[nodiscard]] const hdc::Codebook& level_codebook(std::size_t cls,
                                                     std::size_t level) const;
 
-  /// Item HV for (class, level, index).
-  [[nodiscard]] const hdc::Hypervector& item(std::size_t cls,
-                                             std::size_t level,
-                                             std::size_t index) const {
+  /// Item HV for (class, level, index), unpacked (hdc::Codebook::item).
+  [[nodiscard]] hdc::Hypervector item(std::size_t cls, std::size_t level,
+                                      std::size_t index) const {
     return level_codebook(cls, level).item(index);
   }
 

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "hdc/codebook.hpp"
+#include "hdc/ops.hpp"
 #include "hdc/random.hpp"
 #include "hdc/similarity.hpp"
 #include "taxonomy/codebooks.hpp"
@@ -153,6 +156,105 @@ TEST(RandomBipolar, SeededTaxonomyCodebooksMatchBitLoopOracle) {
       }
     }
   }
+}
+
+TEST(Codebook, RowsMatchRandomBipolarDraws) {
+  // The generating constructor writes each draw straight into the sign
+  // plane; every row must be the HV random_bipolar draws from the same
+  // stream, and the stream must end in the same state.
+  for (const std::size_t d : {1u, 63u, 64u, 65u, 100u, 2048u}) {
+    Xoshiro256 gen(500 + d), oracle(500 + d);
+    const Codebook cb(d, 5, gen);
+    ASSERT_TRUE(cb.has_planes()) << "dim=" << d;
+    EXPECT_TRUE(cb.nonzero_plane().empty()) << "dim=" << d;
+    EXPECT_EQ(cb.sign_plane().size(), 5 * ((d + 63) / 64)) << "dim=" << d;
+    for (std::size_t j = 0; j < cb.size(); ++j) {
+      EXPECT_EQ(cb.item(j), random_bipolar(d, oracle))
+          << "dim=" << d << " row=" << j;
+    }
+    EXPECT_EQ(gen(), oracle()) << "generator state diverged at dim=" << d;
+  }
+}
+
+TEST(Codebook, SignWordsHaveCanonicalTails) {
+  Xoshiro256 rng(31);
+  for (const std::size_t d : {1u, 63u, 65u, 100u}) {
+    const Codebook cb(d, 3, rng);
+    const std::size_t words = (d + 63) / 64;
+    for (std::size_t j = 0; j < cb.size(); ++j) {
+      const std::uint64_t last = cb.sign_plane()[j * words + words - 1];
+      EXPECT_EQ(last >> (d % 64), 0u) << "dim=" << d << " row=" << j;
+    }
+  }
+}
+
+TEST(Codebook, ItemRoundTripsTernaryRowsWithZeros) {
+  Xoshiro256 rng(32);
+  for (const std::size_t d : {1u, 63u, 64u, 65u, 130u}) {
+    std::vector<Hypervector> items;
+    for (std::size_t j = 0; j < 4; ++j) {
+      items.push_back(j == 1 ? random_bipolar(d, rng)
+                             : random_ternary(d, 0.4, rng));
+    }
+    items[0][0] = 0;
+    items[2][d - 1] = 0;
+    if (d > 64) items[3][64] = 0;
+    const Codebook cb(items);
+    ASSERT_TRUE(cb.has_planes()) << "dim=" << d;
+    ASSERT_FALSE(cb.nonzero_plane().empty()) << "dim=" << d;
+    for (std::size_t j = 0; j < items.size(); ++j) {
+      EXPECT_EQ(cb.item(j), items[j]) << "dim=" << d << " row=" << j;
+      EXPECT_EQ(cb[j], items[j]) << "dim=" << d << " row=" << j;
+    }
+    EXPECT_FALSE(cb.rows_materialized());
+    EXPECT_EQ(cb.rows(), items) << "dim=" << d;
+    EXPECT_TRUE(cb.rows_materialized());
+  }
+}
+
+TEST(Codebook, AccumulateItemAddsTheRow) {
+  Xoshiro256 rng(33);
+  std::vector<Hypervector> ternary;
+  for (std::size_t j = 0; j < 3; ++j) {
+    ternary.push_back(random_ternary(77, 0.3, rng));
+  }
+  const std::vector<Hypervector> zeros(2, Hypervector(77));
+  const Codebook books[] = {Codebook(77, 3, rng), Codebook(ternary),
+                            Codebook(zeros)};
+  for (const Codebook& cb : books) {
+    for (std::size_t j = 0; j < cb.size(); ++j) {
+      Hypervector acc = random_ternary(77, 0.2, rng);
+      Hypervector want = acc;
+      accumulate(want, cb.item(j));
+      cb.accumulate_item(j, acc);
+      EXPECT_EQ(acc, want) << "row " << j;
+    }
+    Hypervector wrong(76);
+    EXPECT_THROW(cb.accumulate_item(0, wrong), std::invalid_argument);
+    EXPECT_THROW(cb.accumulate_item(cb.size(), wrong), std::out_of_range);
+  }
+}
+
+TEST(Codebook, IntegerRowsStayInt32) {
+  const std::vector<Hypervector> items{{2, -1, 0}, {1, 1, -3}};
+  const Codebook cb(items);
+  EXPECT_FALSE(cb.has_planes());
+  EXPECT_TRUE(cb.sign_plane().empty());
+  EXPECT_TRUE(cb.rows_materialized());
+  EXPECT_EQ(cb.rows(), items);
+  EXPECT_EQ(cb.item(1), items[1]);
+}
+
+TEST(Codebook, CopiesShareTheRowsView) {
+  Xoshiro256 rng(34);
+  const Codebook cb(200, 6, rng);
+  const Codebook copy = cb;
+  EXPECT_EQ(copy.sign_plane().data(), cb.sign_plane().data());
+  EXPECT_FALSE(cb.rows_materialized());
+  const std::vector<Hypervector>& rows = copy.rows();
+  EXPECT_TRUE(cb.rows_materialized());
+  EXPECT_EQ(&cb.rows(), &rows);
+  for (std::size_t j = 0; j < cb.size(); ++j) EXPECT_EQ(rows[j], cb.item(j));
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Unit tests for binary serialization (hdc/io.hpp, taxonomy/io.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/encoder.hpp"
 #include "core/factorizer.hpp"
@@ -44,6 +47,42 @@ TEST(HdcIo, CodebookRoundTripPreservesNameAndItems) {
   ASSERT_EQ(loaded.size(), cb.size());
   for (std::size_t j = 0; j < cb.size(); ++j) {
     EXPECT_EQ(loaded.item(j), cb.item(j));
+  }
+}
+
+// FNV-1a over a byte string: a fixed fingerprint of the on-disk format.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(HdcIo, SavedCodebookBytesMatchGoldenHash) {
+  // The hashes were taken from the writer of the int32-row codebook, before
+  // codebooks were stored as word planes: the bytes on disk must not move.
+  {
+    util::Xoshiro256 rng(2026);
+    const hdc::Codebook cb(100, 7, rng, "golden/bipolar");
+    std::stringstream ss;
+    hdc::save_codebook(ss, cb);
+    EXPECT_EQ(ss.str().size(), 2918u);
+    EXPECT_EQ(fnv1a(ss.str()), 0x2aa49b325a4a9310ULL);
+  }
+  {
+    util::Xoshiro256 rng(2027);
+    std::vector<hdc::Hypervector> items;
+    for (int j = 0; j < 5; ++j) {
+      items.push_back(hdc::random_ternary(130, 0.3, rng));
+    }
+    const hdc::Codebook cb(std::move(items), "golden/ternary");
+    ASSERT_FALSE(cb.nonzero_plane().empty());
+    std::stringstream ss;
+    hdc::save_codebook(ss, cb);
+    EXPECT_EQ(ss.str().size(), 2694u);
+    EXPECT_EQ(fnv1a(ss.str()), 0xa8ef5a949cd2e7acULL);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/batch.hpp"
 #include "core/encoder.hpp"
 #include "core/factorizer.hpp"
 #include "hdc/item_memory.hpp"
@@ -390,29 +391,30 @@ TEST(KernelEquivalence, BatchDotKernelsMatchPerRowDotsAtEveryLevel) {
 }
 
 // The per-component packing loop PackedItemMemory used before it packed
-// through DotKernels::pack_planes, kept as the oracle: nullopt for an entry
-// outside {-1, 0, +1}, ternary layout as soon as any entry holds a zero
-// (nonzero plane empty otherwise), one bit set per +1 / nonzero component.
+// through DotKernels::pack_planes, kept as the oracle over a codebook's
+// source rows: nullopt for an entry outside {-1, 0, +1}, ternary layout as
+// soon as any entry holds a zero (nonzero plane empty otherwise), one bit
+// set per +1 / nonzero component.
 struct OraclePlanes {
   PackedItemMemory::Layout layout = PackedItemMemory::Layout::kBipolar;
   std::vector<std::uint64_t> sign;
   std::vector<std::uint64_t> nonzero;
 };
 
-std::optional<OraclePlanes> oracle_pack(const Codebook& cb) {
+std::optional<OraclePlanes> oracle_pack(const std::vector<Hypervector>& items) {
   OraclePlanes out;
-  for (const Hypervector& item : cb.items()) {
+  for (const Hypervector& item : items) {
     for (std::size_t i = 0; i < item.dim(); ++i) {
       if (item[i] > 1 || item[i] < -1) return std::nullopt;
       if (item[i] == 0) out.layout = PackedItemMemory::Layout::kTernary;
     }
   }
   const bool ternary = out.layout == PackedItemMemory::Layout::kTernary;
-  const std::size_t words = kernels::plane_words(cb.dim());
-  out.sign.assign(cb.size() * words, 0);
-  if (ternary) out.nonzero.assign(cb.size() * words, 0);
-  for (std::size_t row = 0; row < cb.size(); ++row) {
-    const Hypervector& item = cb.item(row);
+  const std::size_t words = kernels::plane_words(items.front().dim());
+  out.sign.assign(items.size() * words, 0);
+  if (ternary) out.nonzero.assign(items.size() * words, 0);
+  for (std::size_t row = 0; row < items.size(); ++row) {
+    const Hypervector& item = items[row];
     for (std::size_t i = 0; i < item.dim(); ++i) {
       const std::uint64_t bit = 1ULL << (i % 64);
       if (item[i] == 0) continue;
@@ -452,8 +454,8 @@ std::vector<kernels::SimdLevel> available_levels() {
 // entry (must be rejected after every other row packed cleanly).
 enum class PackCase { kBipolar, kZeroInLastRow, kMixed, kTwoInLastRow };
 
-Codebook make_pack_case(PackCase c, std::size_t dim, std::size_t rows,
-                        Xoshiro256& rng) {
+std::vector<Hypervector> make_pack_case(PackCase c, std::size_t dim,
+                                        std::size_t rows, Xoshiro256& rng) {
   std::vector<Hypervector> items;
   items.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
@@ -464,7 +466,7 @@ Codebook make_pack_case(PackCase c, std::size_t dim, std::size_t rows,
   }
   if (c == PackCase::kZeroInLastRow) items.back()[dim / 2] = 0;
   if (c == PackCase::kTwoInLastRow) items.back()[dim - 1] = 2;
-  return Codebook(std::move(items));
+  return items;
 }
 
 const char* to_string(PackCase c) {
@@ -502,8 +504,9 @@ TEST(KernelEquivalence, CodebookPackingMatchesPerComponentOracle) {
                                 std::size_t{1000}, std::size_t{4096}}) {
     for (const PackCase c : {PackCase::kBipolar, PackCase::kZeroInLastRow,
                              PackCase::kMixed, PackCase::kTwoInLastRow}) {
-      const Codebook cb = make_pack_case(c, dim, 7, rng);
-      const std::optional<OraclePlanes> want = oracle_pack(cb);
+      const std::vector<Hypervector> items = make_pack_case(c, dim, 7, rng);
+      const Codebook cb(items);
+      const std::optional<OraclePlanes> want = oracle_pack(items);
       for (const kernels::SimdLevel level : available_levels()) {
         check_pack_case(cb, want, level,
                         std::string(to_string(c)) + " dim=" +
@@ -516,17 +519,18 @@ TEST(KernelEquivalence, CodebookPackingMatchesPerComponentOracle) {
 
 TEST(KernelEquivalence, CodebookPackingIsIdenticalForEveryWorkerCount) {
   // Codebooks of at least 2^20 components pack row-parallel over the scan
-  // pool (when the host has more than one hardware thread); a
-  // ScanNestingGuard pins the same pack to one worker. The zero-in-last-row
-  // case makes the last block allocate the nonzero plane after the other
-  // blocks packed their rows into scratch.
+  // pool at construction (when the host has more than one hardware
+  // thread); a ScanNestingGuard pins the same pack to one worker. The
+  // zero-in-last-row case makes the last block allocate the nonzero plane
+  // after the other blocks packed their rows into scratch.
   Xoshiro256 rng(1010);
   for (const auto& [dim, rows] : {std::pair<std::size_t, std::size_t>{4096, 300},
                                   {1000, 1100}}) {
     for (const PackCase c : {PackCase::kBipolar, PackCase::kZeroInLastRow,
                              PackCase::kMixed, PackCase::kTwoInLastRow}) {
-      const Codebook cb = make_pack_case(c, dim, rows, rng);
-      const std::optional<OraclePlanes> want = oracle_pack(cb);
+      const std::vector<Hypervector> items = make_pack_case(c, dim, rows, rng);
+      const Codebook cb(items);
+      const std::optional<OraclePlanes> want = oracle_pack(items);
       for (const kernels::SimdLevel level : available_levels()) {
         const std::string what = std::string(to_string(c)) + " dim=" +
                                  std::to_string(dim) + " level=" +
@@ -535,7 +539,8 @@ TEST(KernelEquivalence, CodebookPackingIsIdenticalForEveryWorkerCount) {
         if (c == PackCase::kTwoInLastRow) continue;
         const PackedItemMemory parallel(cb, level);
         const kernels::ScanNestingGuard one_worker;
-        const PackedItemMemory sequential(cb, level);
+        const Codebook sequential_cb(items);
+        const PackedItemMemory sequential(sequential_cb, level);
         EXPECT_EQ(parallel.layout(), sequential.layout()) << what;
         const auto ps = parallel.sign_plane();
         const auto ss = sequential.sign_plane();
@@ -547,6 +552,135 @@ TEST(KernelEquivalence, CodebookPackingIsIdenticalForEveryWorkerCount) {
             << what;
       }
     }
+  }
+}
+
+TEST(KernelEquivalence, AccumulatePlanesMatchesPerComponentOracleAtEveryLevel) {
+  // Every tier's plane-accumulate kernel adds +1 / -1 / 0 per component,
+  // exactly as a bit-at-a-time loop does, at dimensions around the 16-lane
+  // and 64-bit word boundaries, into a non-zero accumulator.
+  Xoshiro256 rng(1212);
+  for (const std::size_t dim : {1u, 15u, 16u, 17u, 63u, 64u, 65u, 100u,
+                                1000u, 2048u}) {
+    for (const bool ternary : {false, true}) {
+      const Hypervector row =
+          ternary ? random_ternary(dim, 0.3, rng) : random_bipolar(dim, rng);
+      const auto q = PackedQuery::pack(row);
+      ASSERT_TRUE(q.has_value());
+      const Hypervector start = random_ternary(dim, 0.5, rng);
+      Hypervector want = start;
+      for (std::size_t d = 0; d < dim; ++d) want[d] += row[d];
+      for (const kernels::SimdLevel level : available_levels()) {
+        Hypervector got = start;
+        kernels::dot_kernels(level).accumulate_planes(
+            got.data(), dim, q->sign.data(),
+            ternary ? q->nonzero.data() : nullptr);
+        EXPECT_EQ(got, want) << "dim=" << dim << " ternary=" << ternary
+                             << " level=" << kernels::to_string(level);
+      }
+    }
+  }
+}
+
+// Taxonomy material whose level codebooks are plane-backed, plus what the
+// int32-row tests below need to run Rep-1 and Rep-3 factorization on it.
+struct RowsFixture {
+  explicit RowsFixture(std::uint64_t seed)
+      : rng(seed), books(tax::Taxonomy(3, {8, 4}), 1000, rng),
+        encoder(books), factorizer(encoder) {}
+
+  [[nodiscard]] std::vector<const Codebook*> level_codebooks() const {
+    std::vector<const Codebook*> out;
+    const tax::Taxonomy& t = books.taxonomy();
+    for (std::size_t c = 0; c < t.num_classes(); ++c) {
+      for (std::size_t l = 1; l <= t.depth(c); ++l) {
+        out.push_back(&books.level_codebook(c, l));
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::size_t materialized() const {
+    std::size_t n = 0;
+    for (const Codebook* cb : level_codebooks()) n += cb->rows_materialized();
+    return n;
+  }
+
+  Xoshiro256 rng;
+  tax::TaxonomyCodebooks books;
+  core::Encoder encoder;
+  core::Factorizer factorizer;
+};
+
+core::FactorizeOptions rep3_options() {
+  core::FactorizeOptions opts;
+  opts.multi_object = true;
+  opts.num_objects_hint = 2;
+  return opts;
+}
+
+std::vector<Hypervector> rep3_targets(RowsFixture& f, std::size_t n) {
+  std::vector<Hypervector> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(f.encoder.encode_scene(tax::random_scene(
+        f.books.taxonomy(), f.rng,
+        {.num_objects = 2, .object = {}, .allow_duplicates = false})));
+  }
+  return out;
+}
+
+TEST(KernelEquivalence, CodebookPackingRep1NeverBuildsInt32Rows) {
+  RowsFixture f(4242);
+  for (const Codebook* cb : f.level_codebooks()) {
+    ASSERT_TRUE(cb->has_planes());
+    ASSERT_FALSE(cb->rows_materialized());
+  }
+  ASSERT_EQ(f.factorizer.scan_backend(), ScanBackend::kPacked);
+  std::vector<Hypervector> targets;
+  for (int i = 0; i < 6; ++i) {
+    targets.push_back(f.encoder.encode_object(
+        tax::random_object(f.books.taxonomy(), f.rng)));
+  }
+  for (const Hypervector& t : targets) (void)f.factorizer.factorize(t);
+  (void)f.factorizer.factorize_block(targets);
+  EXPECT_EQ(f.materialized(), 0u);
+}
+
+TEST(KernelEquivalence, CodebookPackingRep3BuildsRowsWithSameAnswers) {
+  // The first integer-bundle scan builds the int32 view. Its answers equal
+  // those of identical codebooks whose views were built up front, and a
+  // second call on the built view.
+  RowsFixture lazy(77), eager(77);
+  const std::vector<Hypervector> targets = rep3_targets(lazy, 3);
+  for (const Codebook* cb : eager.level_codebooks()) (void)cb->rows();
+  ASSERT_EQ(lazy.materialized(), 0u);
+  const core::FactorizeResult first =
+      lazy.factorizer.factorize(targets[0], rep3_options());
+  EXPECT_GT(lazy.materialized(), 0u);
+  EXPECT_EQ(first, eager.factorizer.factorize(targets[0], rep3_options()));
+  for (const Hypervector& t : targets) {
+    EXPECT_EQ(lazy.factorizer.factorize(t, rep3_options()),
+              eager.factorizer.factorize(t, rep3_options()));
+  }
+}
+
+TEST(KernelEquivalence, CodebookPackingBatchWorkersRaceTheFirstRowsBuild) {
+  // Four BatchFactorizer workers reach the unbuilt int32 view together;
+  // call_once builds it once, and every answer matches a sequential run
+  // over codebooks whose view was built up front.
+  RowsFixture racing(91), eager(91);
+  const std::vector<Hypervector> targets = rep3_targets(racing, 8);
+  for (const Codebook* cb : eager.level_codebooks()) (void)cb->rows();
+  ASSERT_EQ(racing.materialized(), 0u);
+  const core::BatchFactorizer batch(racing.factorizer, {.num_threads = 4});
+  ASSERT_EQ(batch.effective_threads(targets.size()), 4u);
+  const std::vector<core::FactorizeResult> got =
+      batch.factorize_all(targets, rep3_options());
+  EXPECT_GT(racing.materialized(), 0u);
+  ASSERT_EQ(got.size(), targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(got[i], eager.factorizer.factorize(targets[i], rep3_options()))
+        << "target " << i;
   }
 }
 
