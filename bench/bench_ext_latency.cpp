@@ -233,13 +233,11 @@ int main(int argc, char** argv) {
   auto model = service::Model::make(
       "bench", tax::TaxonomyCodebooks(taxonomy, dim, rng));
 
-  // Engine tuned for serving (tiny flush deadline: latency, not batch
-  // formation, dominates) and an admission queue small enough that 4x
-  // overload must reject rather than buffer its way to timeouts.
+  // Engine without a result cache (every request is computed) and an
+  // admission depth small enough that 4x overload must reject rather than
+  // buffer its way to timeouts.
   service::FactorizationEngine engine(
-      model, service::ServiceOptions{.max_batch = 64,
-                                     .max_delay_us = 100,
-                                     .cache_capacity = 0});
+      model, service::ServiceOptions{.max_batch = 64, .cache_capacity = 0});
   net::ServerOptions sopts;
   sopts.admission.depth = 128;
   sopts.admission.client_quota = 64;

@@ -223,21 +223,18 @@ int main(int argc, char** argv) {
   };
   const Config configs[] = {
       {"engine nobatch",
-       {.max_batch = 1, .max_delay_us = 0, .cache_capacity = 0},
+       {.max_batch = 1, .cache_capacity = 0},
        &distinct},
       {"engine batch=64",
-       {.max_batch = 64, .max_delay_us = 200, .cache_capacity = 0},
+       {.max_batch = 64, .cache_capacity = 0},
        &distinct},
       // Same configuration with sampled tracing on — the observability
       // overhead row: trace ids, stage timers, and 1-in-64 ring records.
       {"engine batch=64 traced",
-       {.max_batch = 64,
-        .max_delay_us = 200,
-        .cache_capacity = 0,
-        .trace_sample = kSampleEvery},
+       {.max_batch = 64, .cache_capacity = 0, .trace_sample = kSampleEvery},
        &distinct},
       {"engine batch+cache hotset",
-       {.max_batch = 64, .max_delay_us = 200, .cache_capacity = 4096},
+       {.max_batch = 64, .cache_capacity = 4096},
        &hotset},
   };
   for (const Config& cfg : configs) {
@@ -290,7 +287,7 @@ int main(int argc, char** argv) {
     // Differential verification: engine results must be bit-identical to
     // direct factorization, batched, coalesced, cached, or not.
     service::FactorizationEngine engine(
-        model, {.max_batch = 8, .max_delay_us = 100, .cache_capacity = 64});
+        model, {.max_batch = 8, .cache_capacity = 64});
     std::vector<std::future<core::FactorizeResult>> futures;
     futures.reserve(2 * hotset.size());
     for (std::size_t round = 0; round < 2; ++round) {

@@ -18,7 +18,8 @@
 #                             # block scans, sharded scatter-gather,
 #                             # row-parallel codebook packing, the
 #                             # fork-join helper, threaded pruned argmax,
-#                             # network faults) only
+#                             # serving engine, network faults and the
+#                             # wire differential) only
 #
 # Extra arguments after the mode are forwarded to ctest.
 set -euo pipefail
@@ -52,9 +53,9 @@ case "${1:-}" in
     # scans of one shared tier, the sharded scatter-gather, the
     # row-parallel codebook packing, the serving engine, the wait-free
     # metrics/trace plumbing, and the network front end's event loop +
-    # admission queue over real sockets); everything else is
+    # engine completion callbacks over real sockets); everything else is
     # single-threaded.
-    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|TieredBlockConcurrency|ModelSnapshot|AdaptiveNprobe|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|CodebookPacking|RowBlocks|PrunedScanThreads')
+    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|TieredBlockConcurrency|ModelSnapshot|AdaptiveNprobe|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|CodebookPacking|RowBlocks|PrunedScanThreads|ServiceEngineTest|DeadlineHeap|NetDifferentialTest')
     ;;
 esac
 CTEST_ARGS+=("$@")
@@ -78,7 +79,7 @@ if [[ "$CHECK_BASELINES" == 1 ]]; then
   trap 'rm -rf "$OBS_DIR"' EXIT
   printf '%s\n' \
     'model gen obs 3 8,4 2048 7' \
-    'serve obs 8 100' \
+    'serve obs 8' \
     'burst 24 1' \
     "stats prom $OBS_DIR/prom1.txt" \
     'burst 24 2' \

@@ -95,6 +95,7 @@ enum class ErrorCode : std::uint16_t {
   kShuttingDown = 5,      ///< server draining; request not accepted
   kInternal = 6,          ///< engine-side failure (message has detail)
   kBadFrame = 7,          ///< framing violation; the connection is dropped
+  kDeadlineExceeded = 8,  ///< still queued when its deadline passed
 };
 
 /// Overload codes carried by kOverload frames — admission control said no.
@@ -223,8 +224,9 @@ class PayloadWriter {
 /// kFactorize request payload: options + deadline hint + target HV.
 struct FactorizeRequest {
   core::FactorizeOptions opts;
-  /// Admission-control deadline hint in microseconds from arrival; 0 means
-  /// the server default. Earlier deadlines dispatch first.
+  /// Deadline hint in microseconds from arrival; 0 means the server
+  /// default. Earlier deadlines dispatch first, and a request still queued
+  /// at its deadline is answered kError / kDeadlineExceeded.
   std::uint32_t deadline_hint_us = 0;
   hdc::Hypervector target;
 };

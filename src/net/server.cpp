@@ -14,7 +14,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "util/env.hpp"
@@ -28,11 +30,42 @@ double us_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-std::uint64_t steady_us(std::chrono::steady_clock::time_point tp) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          tp.time_since_epoch())
-          .count());
+/// The response frames for a computed result: one kPartial per object
+/// then the final kResult (kFlagStreamed) when streaming, all in one buffer
+/// so the frames reach the write buffer atomically and in order.
+std::vector<std::uint8_t> encode_answer(std::uint64_t rid, bool stream,
+                                        const core::FactorizeResult& result) {
+  if (!stream) {
+    return encode_frame(Opcode::kResult, 0, rid, encode_result(result, false));
+  }
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < result.objects.size(); ++i) {
+    const auto partial = encode_frame(
+        Opcode::kPartial, 0, rid,
+        encode_partial(static_cast<std::uint32_t>(i), result.objects[i]));
+    bytes.insert(bytes.end(), partial.begin(), partial.end());
+  }
+  const auto fin = encode_frame(Opcode::kResult, kFlagStreamed, rid,
+                                encode_result(result, true));
+  bytes.insert(bytes.end(), fin.begin(), fin.end());
+  return bytes;
+}
+
+/// The kError frame for an engine-side failure.
+std::vector<std::uint8_t> encode_failure(std::uint64_t rid,
+                                         const std::exception_ptr& error) {
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message = "unknown engine failure";
+  try {
+    std::rethrow_exception(error);
+  } catch (const service::DeadlineExceededError& e) {
+    code = ErrorCode::kDeadlineExceeded;
+    message = e.what();
+  } catch (const std::exception& e) {
+    message = e.what();
+  } catch (...) {
+  }
+  return encode_frame(Opcode::kError, 0, rid, encode_error(code, message));
 }
 
 void set_nonblocking(int fd) {
@@ -154,7 +187,7 @@ ServerOptions server_options_from_env() {
 }
 
 NetServer::NetServer(service::FactorizationEngine& engine, ServerOptions opts)
-    : engine_(engine), opts_(opts), admission_(opts.admission) {}
+    : engine_(engine), opts_(opts) {}
 
 NetServer::~NetServer() { stop(); }
 
@@ -213,12 +246,6 @@ void NetServer::start() {
   running_ = true;
   stopped_ = false;
   loop_thread_ = std::thread([this] { event_loop(); });
-  dispatcher_thread_ = std::thread([this] { dispatcher_loop(); });
-  const std::size_t workers = std::max<std::size_t>(1, opts_.completion_workers);
-  completion_threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    completion_threads_.emplace_back([this] { completion_loop(); });
-  }
 }
 
 void NetServer::stop() {
@@ -226,28 +253,13 @@ void NetServer::stop() {
   stopped_ = true;
 
   // 1. Refuse new work: no more accepts, factorize frames answered with
-  //    kShuttingDown, admission closed (queued tickets still drain).
+  //    kShuttingDown.
   draining_ = true;
-  admission_.stop();
 
-  // 2. The dispatcher exits once the admission queue is drained; every
-  //    admitted ticket is now in the completion queue (or its error frame
-  //    is in the outbox).
-  dispatcher_thread_.join();
-
-  // 3. Close the completion queue and wait for the in-flight futures; all
-  //    response bytes are in the outbox afterwards.
-  {
-    std::lock_guard lock(completion_mu_);
-    completion_closed_ = true;
-  }
-  completion_cv_.notify_all();
-  for (std::thread& t : completion_threads_) t.join();
-  completion_threads_.clear();
-
-  // 4. Let the loop flush: it exits once the outbox and every write buffer
-  //    are empty (bounded by a drain deadline so a stuck client cannot
-  //    wedge shutdown).
+  // 2. The loop keeps delivering engine completions until every admitted
+  //    request is answered (their callbacks point at this server, so that
+  //    wait has no deadline), then flushes the write buffers (bounded by a
+  //    drain deadline so a stuck client cannot wedge shutdown) and exits.
   loop_exit_ = true;
   wake_loop();
   loop_thread_.join();
@@ -267,11 +279,14 @@ void NetServer::wake_loop() {
 }
 
 void NetServer::push_outgoing(Outgoing&& out) {
-  {
-    std::lock_guard lock(outbox_mu_);
-    outbox_.push_back(std::move(out));
-  }
-  wake_loop();
+  // Only the push that makes the outbox non-empty wakes the loop: it drains
+  // everything queued behind it in the same pass. The wake happens under
+  // the lock, so once the loop has taken this answer the engine thread
+  // touches the server no more — stop() may then close the pipe.
+  std::lock_guard lock(outbox_mu_);
+  const bool was_empty = outbox_.empty();
+  outbox_.push_back(std::move(out));
+  if (was_empty) wake_loop();
 }
 
 // ---------------------------------------------------------------------------
@@ -279,6 +294,7 @@ void NetServer::push_outgoing(Outgoing&& out) {
 // ---------------------------------------------------------------------------
 
 void NetServer::event_loop() {
+  loop_id_ = std::this_thread::get_id();
   std::vector<PollEvent> events;
   std::chrono::steady_clock::time_point drain_deadline{};
   bool drain_armed = false;
@@ -310,17 +326,13 @@ void NetServer::event_loop() {
     }
     drain_outbox();
     check_timeouts();
-    if (loop_exit_) {
+    if (loop_exit_ && in_flight_.load(std::memory_order_relaxed) == 0) {
       if (!drain_armed) {
         drain_armed = true;
         drain_deadline = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(opts_.idle_timeout_ms);
       }
-      bool pending;
-      {
-        std::lock_guard lock(outbox_mu_);
-        pending = !outbox_.empty();
-      }
+      bool pending = false;
       for (const auto& [id, conn] : conns_) {
         if (conn.write_buf.size() > conn.write_off) pending = true;
       }
@@ -473,46 +485,97 @@ void NetServer::handle_frame(Connection& conn, Frame&& frame,
     return;
   }
 
-  Ticket ticket;
-  ticket.client_id = conn.id;
-  ticket.request_id = rid;
-  ticket.stream = (frame.header.flags & kFlagStream) != 0;
-  ticket.arrival = now;
+  const std::size_t depth = in_flight_.load(std::memory_order_relaxed);
+  if (conn.in_flight >= opts_.admission.client_quota ||
+      depth >= opts_.admission.depth) {
+    const bool quota = conn.in_flight >= opts_.admission.client_quota;
+    {
+      std::lock_guard lock(counters_mu_);
+      ++(quota ? admission_stats_.rejected_quota
+               : admission_stats_.rejected_full);
+    }
+    net_metrics_.on_rejected();
+    OverloadInfo info;
+    info.queue_depth = static_cast<std::uint32_t>(depth);
+    if (quota) {
+      info.code = OverloadCode::kQuotaExceeded;
+      info.limit = static_cast<std::uint32_t>(opts_.admission.client_quota);
+      info.detail = "per-client in-flight quota exhausted";
+    } else {
+      info.code = OverloadCode::kQueueFull;
+      info.limit = static_cast<std::uint32_t>(opts_.admission.depth);
+      info.detail = "admission depth reached";
+    }
+    reply(Opcode::kOverload, 0, encode_overload(info));
+    return;
+  }
+  submit_factorize(conn, std::move(request), rid,
+                   (frame.header.flags & kFlagStream) != 0, now);
+}
+
+void NetServer::submit_factorize(
+    Connection& conn, FactorizeRequest&& request, std::uint64_t request_id,
+    bool stream, std::chrono::steady_clock::time_point arrival) {
+  // Charged before submit: a cache hit completes inside it, on this thread,
+  // and releases both slots again through deliver().
+  const std::uint64_t id = conn.id;
+  ++conn.in_flight;
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard lock(counters_mu_);
+    ++admission_stats_.admitted;
+  }
+  net_metrics_.on_submitted();
   const std::uint32_t hint = request.deadline_hint_us != 0
                                  ? request.deadline_hint_us
                                  : opts_.default_deadline_us;
-  ticket.deadline_us = steady_us(now) + hint;
-  ticket.request = std::move(request);
-
-  switch (admission_.try_admit(std::move(ticket))) {
-    case Admit::kAdmitted:
-      net_metrics_.on_submitted();
-      return;  // the dispatcher takes it from here
-    case Admit::kQueueFull: {
-      net_metrics_.on_rejected();
-      OverloadInfo info;
-      info.code = OverloadCode::kQueueFull;
-      info.queue_depth = static_cast<std::uint32_t>(admission_.size());
-      info.limit = static_cast<std::uint32_t>(opts_.admission.depth);
-      info.detail = "admission queue full";
-      reply(Opcode::kOverload, 0, encode_overload(info));
-      return;
+  const auto deadline = arrival + std::chrono::microseconds(hint);
+  auto on_done = [this, id, request_id, stream, arrival](
+                     const core::FactorizeResult* result,
+                     std::exception_ptr error) {
+    Outgoing out;
+    out.client_id = id;
+    out.ready = std::chrono::steady_clock::now();
+    out.arrival = arrival;
+    out.bytes = result != nullptr ? encode_answer(request_id, stream, *result)
+                                  : encode_failure(request_id, error);
+    if (std::this_thread::get_id() == loop_id_) {
+      deliver(std::move(out));  // cache hit, inside submit below
+    } else {
+      push_outgoing(std::move(out));
     }
-    case Admit::kQuotaExceeded: {
-      net_metrics_.on_rejected();
-      OverloadInfo info;
-      info.code = OverloadCode::kQuotaExceeded;
-      info.queue_depth = static_cast<std::uint32_t>(admission_.size());
-      info.limit = static_cast<std::uint32_t>(opts_.admission.client_quota);
-      info.detail = "per-client in-flight quota exhausted";
-      reply(Opcode::kOverload, 0, encode_overload(info));
-      return;
-    }
-    case Admit::kShuttingDown:
-      reply(Opcode::kError, 0,
-            encode_error(ErrorCode::kShuttingDown, "server draining"));
-      return;
+  };
+  net_metrics_.on_stage(service::Stage::kAdmission,
+                        us_between(arrival, std::chrono::steady_clock::now()));
+  // `conn` may be closed by an inline answer: only `id` is used from here.
+  std::vector<std::uint8_t> refusal;
+  try {
+    engine_.submit(std::move(request.target), std::move(request.opts),
+                   deadline, std::move(on_done));
+    return;
+  } catch (const service::QueueFullError&) {
+    OverloadInfo info;
+    info.code = OverloadCode::kQueueFull;
+    info.queue_depth =
+        static_cast<std::uint32_t>(in_flight_.load(std::memory_order_relaxed));
+    info.limit = static_cast<std::uint32_t>(engine_.options().queue_capacity);
+    info.detail = "engine queue full";
+    refusal = encode_frame(Opcode::kOverload, 0, request_id,
+                           encode_overload(info));
+  } catch (const service::EngineStoppedError& e) {
+    refusal = encode_frame(Opcode::kError, 0, request_id,
+                           encode_error(ErrorCode::kShuttingDown, e.what()));
+  } catch (const std::exception& e) {
+    refusal = encode_frame(Opcode::kError, 0, request_id,
+                           encode_error(ErrorCode::kInternal, e.what()));
   }
+  // The engine refused it, so on_done will never run: answer here.
+  Outgoing out;
+  out.client_id = id;
+  out.bytes = std::move(refusal);
+  out.ready = std::chrono::steady_clock::now();
+  out.arrival = arrival;
+  deliver(std::move(out));
 }
 
 void NetServer::append_response(Connection& conn,
@@ -565,30 +628,30 @@ void NetServer::update_poll_interest(Connection& conn) {
   }
 }
 
+void NetServer::deliver(Outgoing&& out) {
+  const auto now = std::chrono::steady_clock::now();
+  // In-flight ends here whether the bytes are buffered or dropped — the
+  // exactly-once release point of both admission bounds.
+  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  net_metrics_.on_stage(service::Stage::kNetWrite, us_between(out.ready, now));
+  net_metrics_.on_completed(us_between(out.arrival, now));
+  const auto it = conns_.find(out.client_id);
+  if (it == conns_.end() || it->second.close_after_flush) {
+    std::lock_guard lock(counters_mu_);
+    ++counters_.responses_dropped;
+    return;
+  }
+  --it->second.in_flight;
+  append_response(it->second, out.bytes);
+}
+
 void NetServer::drain_outbox() {
-  std::vector<Outgoing> local;
   {
     std::lock_guard lock(outbox_mu_);
-    local.swap(outbox_);
+    outbox_scratch_.swap(outbox_);
   }
-  for (Outgoing& out : local) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto it = conns_.find(out.client_id);
-    if (it == conns_.end() || it->second.close_after_flush) {
-      std::lock_guard lock(counters_mu_);
-      ++counters_.responses_dropped;
-    } else {
-      append_response(it->second, out.bytes);
-    }
-    if (out.release_ticket) {
-      // In-flight ends here whether the bytes were buffered or dropped —
-      // the exactly-once release point of the admission quota.
-      admission_.on_complete(out.client_id);
-      net_metrics_.on_stage(service::Stage::kNetWrite,
-                            us_between(out.ready, now));
-      net_metrics_.on_completed(us_between(out.arrival, now));
-    }
-  }
+  for (Outgoing& out : outbox_scratch_) deliver(std::move(out));
+  outbox_scratch_.clear();
 }
 
 void NetServer::check_timeouts() {
@@ -617,115 +680,6 @@ void NetServer::close_connection(std::uint64_t id, std::uint64_t* counter) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher + completion workers
-// ---------------------------------------------------------------------------
-
-void NetServer::dispatcher_loop() {
-  Ticket ticket;
-  while (admission_.pop(ticket)) {
-    const auto popped = std::chrono::steady_clock::now();
-    net_metrics_.on_stage(service::Stage::kAdmission,
-                          us_between(ticket.arrival, popped));
-    std::future<core::FactorizeResult> future;
-    try {
-      future = engine_.submit(std::move(ticket.request.target),
-                              ticket.request.opts);
-    } catch (const service::QueueFullError&) {
-      OverloadInfo info;
-      info.code = OverloadCode::kQueueFull;
-      info.limit = static_cast<std::uint32_t>(opts_.admission.depth);
-      info.detail = "engine queue full";
-      Outgoing out;
-      out.client_id = ticket.client_id;
-      out.bytes = encode_frame(Opcode::kOverload, 0, ticket.request_id,
-                               encode_overload(info));
-      out.release_ticket = true;
-      out.ready = std::chrono::steady_clock::now();
-      out.arrival = ticket.arrival;
-      push_outgoing(std::move(out));
-      continue;
-    } catch (const service::EngineStoppedError& e) {
-      Outgoing out;
-      out.client_id = ticket.client_id;
-      out.bytes = encode_frame(
-          Opcode::kError, 0, ticket.request_id,
-          encode_error(ErrorCode::kShuttingDown, e.what()));
-      out.release_ticket = true;
-      out.ready = std::chrono::steady_clock::now();
-      out.arrival = ticket.arrival;
-      push_outgoing(std::move(out));
-      continue;
-    } catch (const std::exception& e) {
-      Outgoing out;
-      out.client_id = ticket.client_id;
-      out.bytes = encode_frame(Opcode::kError, 0, ticket.request_id,
-                               encode_error(ErrorCode::kInternal, e.what()));
-      out.release_ticket = true;
-      out.ready = std::chrono::steady_clock::now();
-      out.arrival = ticket.arrival;
-      push_outgoing(std::move(out));
-      continue;
-    }
-    InFlight flight;
-    flight.ticket = std::move(ticket);
-    flight.ticket.request.target = hdc::Hypervector();  // moved into submit
-    flight.future = std::move(future);
-    {
-      std::lock_guard lock(completion_mu_);
-      completion_queue_.push_back(std::move(flight));
-    }
-    completion_cv_.notify_one();
-  }
-}
-
-void NetServer::completion_loop() {
-  while (true) {
-    InFlight flight;
-    {
-      std::unique_lock lock(completion_mu_);
-      completion_cv_.wait(lock, [&] {
-        return completion_closed_ || !completion_queue_.empty();
-      });
-      if (completion_queue_.empty()) return;  // closed and drained
-      flight = std::move(completion_queue_.front());
-      completion_queue_.pop_front();
-    }
-    Outgoing out;
-    out.client_id = flight.ticket.client_id;
-    out.release_ticket = true;
-    out.arrival = flight.ticket.arrival;
-    const std::uint64_t rid = flight.ticket.request_id;
-    try {
-      const core::FactorizeResult result = flight.future.get();
-      out.ready = std::chrono::steady_clock::now();
-      if (flight.ticket.stream) {
-        // One kPartial per object, then the final kResult (kFlagStreamed)
-        // carrying the scalars + object count — all in one buffer so the
-        // frames reach the write buffer atomically and in order.
-        for (std::size_t i = 0; i < result.objects.size(); ++i) {
-          const auto partial = encode_frame(
-              Opcode::kPartial, 0, rid,
-              encode_partial(static_cast<std::uint32_t>(i),
-                             result.objects[i]));
-          out.bytes.insert(out.bytes.end(), partial.begin(), partial.end());
-        }
-        const auto fin = encode_frame(Opcode::kResult, kFlagStreamed, rid,
-                                      encode_result(result, true));
-        out.bytes.insert(out.bytes.end(), fin.begin(), fin.end());
-      } else {
-        out.bytes =
-            encode_frame(Opcode::kResult, 0, rid, encode_result(result, false));
-      }
-    } catch (const std::exception& e) {
-      out.ready = std::chrono::steady_clock::now();
-      out.bytes = encode_frame(Opcode::kError, 0, rid,
-                               encode_error(ErrorCode::kInternal, e.what()));
-    }
-    push_outgoing(std::move(out));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------------------
 
@@ -734,10 +688,15 @@ ServerCounters NetServer::counters() const {
   return counters_;
 }
 
+AdmissionStats NetServer::admission_stats() const {
+  std::lock_guard lock(counters_mu_);
+  return admission_stats_;
+}
+
 std::string NetServer::stats_text() const {
   const ServerCounters c = counters();
-  const AdmissionStats a = admission_.stats();
-  const service::MetricsSnapshot net = net_metrics_.snapshot(admission_.size());
+  const AdmissionStats a = admission_stats();
+  const service::MetricsSnapshot net = net_metrics();
   std::ostringstream os;
   os << "net:       " << c.connections_accepted << " accepted, "
      << c.connections_closed << " closed (" << c.disconnects_idle
@@ -746,8 +705,8 @@ std::string NetServer::stats_text() const {
      << "\nnet io:    " << c.frames_in << " frames in, " << c.frames_out
      << " frames out, " << c.responses_dropped << " responses dropped\n"
      << "admission: " << a.admitted << " admitted, " << a.rejected_full
-     << " queue-full rejects, " << a.rejected_quota << " quota rejects, "
-     << admission_.size() << " queued";
+     << " depth rejects, " << a.rejected_quota << " quota rejects, "
+     << net.queue_depth << " in flight";
   for (const service::Stage stage :
        {service::Stage::kNetRead, service::Stage::kAdmission,
         service::Stage::kNetWrite}) {

@@ -4,25 +4,30 @@
 //
 //                    event-loop thread (epoll, poll fallback)
 //   accept ──► per-connection FrameParser ──► ping/stats answered inline
-//                       │ factorize frame           ▲
-//                       ▼                           │ write buffers,
-//              AdmissionQueue (bounded min-heap,    │ timeouts,
-//              oldest-deadline-first, per-client    │ outbox drain
-//              quotas; rejects => overload frames)  │
-//                       │ pop (dispatcher thread)   │
-//                       ▼                           │
-//              engine.submit() ──► future ──► completion workers:
-//              future.get(), serialize kPartial*/kResult frames,
-//              push to the outbox, wake the loop
+//                       │ factorize frame            ▲
+//                       ▼                            │ write buffers,
+//              admission: per-connection quota and   │ timeouts,
+//              server-wide depth (in-flight counts;  │ outbox drain
+//              rejects => overload frames)           │
+//                       │                            │
+//                       ▼                            │
+//              engine.submit(target, opts, deadline, on_done)
+//                 cache hit: on_done runs inline ────┤ straight into the
+//                       │                            │ write buffer
+//                       ▼                            │
+//              engine dispatcher: compute, then on_done serializes
+//              kPartial*/kResult frames and pushes them to the outbox,
+//              waking the loop when the outbox was empty
 //
 // Concurrency shape: exactly one event-loop thread owns every socket and
-// all connection state — no locks on the read/write paths. Work crosses
-// threads only through the AdmissionQueue (loop → dispatcher) and the
-// outbox (completion workers → loop, woken via a self-pipe). Per-client
-// in-flight quotas are charged at admission and released on the loop
-// thread when the response bytes reach the client's write buffer (or are
-// dropped because the client vanished), so every admitted ticket releases
-// exactly once.
+// all connection state — no locks on the read/write paths — and it is the
+// server's only thread. Work crosses threads in two places: the engine's
+// queue (loop → engine dispatcher) and the outbox (engine completion →
+// loop, woken via a self-pipe). Both admission bounds count requests
+// admitted and not yet answered; they are charged and released on the
+// loop thread, release happening when the response bytes reach the
+// client's write buffer (or are dropped because the client vanished), so
+// every admitted request releases exactly once.
 //
 // Robustness: bounded read buffers (FrameParser's max_payload), bounded
 // write buffers (slow readers are disconnected at the limit), and an idle
@@ -37,12 +42,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -97,10 +102,9 @@ struct ServerOptions {
   /// Per-connection write-buffer bound; a client not draining its
   /// responses is disconnected here. Env: FACTORHD_NET_WRITE_BUF.
   std::size_t write_buffer_limit = 8u << 20;
-  /// Admission deadline applied when a request carries no hint (us).
+  /// Deadline applied when a request carries no hint (us): the engine
+  /// answers kDeadlineExceeded for a request still queued past it.
   std::uint32_t default_deadline_us = 1'000'000;
-  /// Threads blocking on engine futures and serializing responses.
-  std::size_t completion_workers = 2;
   /// False selects poll(2) even where epoll is available.
   /// Env: FACTORHD_NET_POLLER (epoll | poll).
   bool prefer_epoll = true;
@@ -133,14 +137,13 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds, listens, and starts the event-loop / dispatcher / completion
-  /// threads. \throws std::runtime_error On socket/bind/listen failure.
+  /// Binds, listens, and starts the event-loop thread.
+  /// \throws std::runtime_error On socket/bind/listen failure.
   void start();
 
   /// Graceful drain: stop accepting, reject new factorize frames with
-  /// kShuttingDown, dispatch every already-admitted ticket, wait for the
-  /// in-flight responses, flush write buffers, then join all threads.
-  /// Idempotent.
+  /// kShuttingDown, wait until the engine has answered every admitted
+  /// request, flush write buffers, then join the loop thread. Idempotent.
   void stop();
 
   /// \return The bound TCP port (after start()).
@@ -150,12 +153,11 @@ class NetServer {
   [[nodiscard]] const char* poller_name() const noexcept;
 
   [[nodiscard]] ServerCounters counters() const;
-  [[nodiscard]] AdmissionStats admission_stats() const {
-    return admission_.stats();
-  }
-  /// Net-side stage latencies (kNetRead/kAdmission/kNetWrite) + completions.
+  [[nodiscard]] AdmissionStats admission_stats() const;
+  /// Net-side stage latencies (kNetRead/kAdmission/kNetWrite) + completions;
+  /// queue_depth is the admitted-and-unanswered count.
   [[nodiscard]] service::MetricsSnapshot net_metrics() const {
-    return net_metrics_.snapshot(admission_.size());
+    return net_metrics_.snapshot(in_flight_.load(std::memory_order_relaxed));
   }
   /// Human-readable net section appended to the serve tool's `stats`.
   [[nodiscard]] std::string stats_text() const;
@@ -171,49 +173,47 @@ class NetServer {
     std::chrono::steady_clock::time_point last_progress;
     bool close_after_flush = false;
     bool want_write = false;  ///< current poller registration
+    std::size_t in_flight = 0;  ///< admitted, not yet answered (the quota)
 
     explicit Connection(std::size_t max_frame) : parser(max_frame) {}
   };
 
-  /// Response bytes crossing from a completion worker (or the dispatcher's
-  /// error path) back to the loop thread.
+  /// The answer to one admitted request, crossing from the engine's
+  /// completion back to the loop thread.
   struct Outgoing {
     std::uint64_t client_id = 0;
     std::vector<std::uint8_t> bytes;
-    /// When set, appending (or dropping) this releases one admission slot.
-    bool release_ticket = false;
-    /// Future-ready time — start of the kNetWrite stage.
+    /// Engine completion time — start of the kNetWrite stage.
     std::chrono::steady_clock::time_point ready{};
-    /// Ticket arrival time — end-to-end completion is measured from here.
+    /// Frame arrival time — end-to-end completion is measured from here.
     std::chrono::steady_clock::time_point arrival{};
   };
 
-  /// One admitted request travelling dispatcher → completion worker.
-  struct InFlight {
-    Ticket ticket;
-    std::future<core::FactorizeResult> future;
-  };
-
   void event_loop();
-  void dispatcher_loop();
-  void completion_loop();
 
   void accept_ready();
   void handle_readable(Connection& conn);
   void handle_frame(Connection& conn, Frame&& frame,
                     std::chrono::steady_clock::time_point read_start);
+  /// Admits one decoded factorize request and hands it to the engine.
+  void submit_factorize(Connection& conn, FactorizeRequest&& request,
+                        std::uint64_t request_id, bool stream,
+                        std::chrono::steady_clock::time_point arrival);
   void flush_writes(Connection& conn);
   void append_response(Connection& conn, std::span<const std::uint8_t> bytes);
+  /// Loop thread: releases the request's admission slots and buffers (or
+  /// drops) its answer.
+  void deliver(Outgoing&& out);
   void drain_outbox();
   void check_timeouts();
   void close_connection(std::uint64_t id, std::uint64_t* counter);
   void update_poll_interest(Connection& conn);
   void wake_loop();
+  /// Engine thread: queues an answer for the loop.
   void push_outgoing(Outgoing&& out);
 
   service::FactorizationEngine& engine_;
   ServerOptions opts_;
-  AdmissionQueue admission_;
   service::Metrics net_metrics_;
 
   int listen_fd_ = -1;
@@ -226,17 +226,22 @@ class NetServer {
   std::unordered_map<std::uint64_t, Connection> conns_;
   std::unordered_map<int, std::uint64_t> fd_to_id_;
   std::uint64_t next_client_id_ = 1;
+  std::vector<Outgoing> outbox_scratch_;  ///< drain_outbox's swap partner
+  /// Set by the loop thread before it submits anything: a completion
+  /// running on this thread is a cache hit answered inline.
+  std::thread::id loop_id_;
+
+  /// Admitted-and-unanswered requests, server-wide (the depth bound).
+  /// Written only by the loop thread; atomic so stats readers may look.
+  std::atomic<std::size_t> in_flight_{0};
 
   // Cross-thread state.
   mutable std::mutex outbox_mu_;
   std::vector<Outgoing> outbox_;
-  std::mutex completion_mu_;
-  std::condition_variable completion_cv_;
-  std::deque<InFlight> completion_queue_;
-  bool completion_closed_ = false;
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;
+  AdmissionStats admission_stats_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> loop_exit_{false};
@@ -244,8 +249,6 @@ class NetServer {
   bool stopped_ = false;
 
   std::thread loop_thread_;
-  std::thread dispatcher_thread_;
-  std::vector<std::thread> completion_threads_;
 };
 
 }  // namespace factorhd::net

@@ -64,6 +64,34 @@ FactorizationEngine::~FactorizationEngine() { stop(); }
 
 std::future<core::FactorizeResult> FactorizationEngine::submit(
     hdc::Hypervector target, core::FactorizeOptions opts) {
+  auto promise = std::make_shared<std::promise<core::FactorizeResult>>();
+  auto fut = promise->get_future();
+  enqueue(std::move(target), std::move(opts), std::chrono::steady_clock::now(),
+          /*expires=*/false,
+          [promise](const core::FactorizeResult* result,
+                    std::exception_ptr error) {
+            if (error) {
+              promise->set_exception(std::move(error));
+            } else {
+              promise->set_value(*result);
+            }
+          },
+          /*may_block=*/!opts_.reject_when_full);
+  return fut;
+}
+
+void FactorizationEngine::submit(hdc::Hypervector target,
+                                 core::FactorizeOptions opts,
+                                 std::chrono::steady_clock::time_point deadline,
+                                 OnDone on_done) {
+  enqueue(std::move(target), std::move(opts), deadline, /*expires=*/true,
+          std::move(on_done), /*may_block=*/false);
+}
+
+void FactorizationEngine::enqueue(
+    hdc::Hypervector target, core::FactorizeOptions opts,
+    std::chrono::steady_clock::time_point deadline, bool expires,
+    OnDone on_done, bool may_block) {
   if (target.dim() != model_->books().dim()) {
     throw std::invalid_argument(
         "FactorizationEngine::submit: target dimension " +
@@ -98,9 +126,7 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
     metrics_.on_submitted();
     metrics_.on_cache_hit();
     metrics_.on_stage(Stage::kCacheLookup, us_between(start, cache_done));
-    std::promise<core::FactorizeResult> ready;
-    auto fut = ready.get_future();
-    ready.set_value(*std::move(hit));
+    on_done(&*hit, nullptr);
     metrics_.on_completed(us_since(start));
     if (traced) {
       RequestTrace t;
@@ -117,7 +143,7 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
       t.rounds = hit->rounds;
       trace_ring_.record(t);
     }
-    return fut;
+    return;
   }
   const auto cache_done = std::chrono::steady_clock::now();
 
@@ -125,18 +151,20 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
   req.target = std::move(target);
   req.opts = std::move(opts);
   req.key = key;
+  req.on_done = std::move(on_done);
+  req.deadline = deadline;
+  req.expires = expires;
   req.submitted = start;
   req.cache_done = cache_done;
   req.trace_id = trace_id;
   req.traced = traced;
-  auto fut = req.promise.get_future();
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
       throw EngineStoppedError("engine is stopped");
     }
     if (queue_.size() >= opts_.queue_capacity) {
-      if (opts_.reject_when_full) {
+      if (!may_block) {
         metrics_.on_rejected();
         throw QueueFullError();
       }
@@ -152,7 +180,7 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
       }
     }
     req.enqueued = std::chrono::steady_clock::now();
-    queue_.push_back(std::move(req));
+    queue_.push(deadline, std::move(req));
     // Counted while still holding the queue lock: the batcher cannot pop
     // (and thus complete) this request before the lock is released, so a
     // concurrent metrics snapshot never observes completed > submitted.
@@ -161,43 +189,25 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
     metrics_.on_stage(Stage::kCacheLookup, us_between(start, cache_done));
   }
   queue_ready_.notify_one();
-  return fut;
 }
 
-std::vector<FactorizationEngine::Request> FactorizationEngine::next_flight() {
+FactorizationEngine::Flight FactorizationEngine::next_flight() {
   std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    queue_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return {};  // stopping and fully drained
-
-    // Dynamic micro-batching: give late arrivals a chance to coalesce, but
-    // never hold the oldest request past its max_delay_us budget. While
-    // draining a shutdown there is nothing to wait for.
-    if (queue_.size() < opts_.max_batch && opts_.max_delay_us > 0 &&
-        !stopping_) {
-      const auto deadline = queue_.front().submitted +
-                            std::chrono::microseconds(opts_.max_delay_us);
-      queue_ready_.wait_until(lock, deadline, [this] {
-        return stopping_ || queue_.size() >= opts_.max_batch;
-      });
-      // A sibling dispatcher may have drained the queue while we waited.
-      if (queue_.empty()) continue;
-    }
-
-    const std::size_t n = std::min(queue_.size(), opts_.max_batch);
-    std::vector<Request> flight;
-    flight.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      flight.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    lock.unlock();
-    queue_space_.notify_all();
-    // One dequeue stamp for the whole flight — it left the queue as a unit.
-    const auto dequeued = std::chrono::steady_clock::now();
-    for (Request& r : flight) r.dequeued = dequeued;
-    return flight;
+  queue_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+  // Opportunistic dispatch: take what is queued now. Requests that arrive
+  // while this flight computes form the next one.
+  Flight flight;
+  const auto now = std::chrono::steady_clock::now();
+  while (!queue_.empty() && flight.live.size() < opts_.max_batch) {
+    Request r = queue_.pop();
+    (r.expires && r.deadline < now ? flight.expired : flight.live)
+        .push_back(std::move(r));
   }
+  lock.unlock();
+  queue_space_.notify_all();
+  // One dequeue stamp for the whole flight — it left the queue as a unit.
+  for (Request& r : flight.live) r.dequeued = now;
+  return flight;
 }
 
 void FactorizationEngine::run_flight(std::vector<Request> flight,
@@ -226,7 +236,7 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
 
     // Coalesce duplicate targets within the group: factorize each distinct
     // target once and fan the (identical, deterministic) result out to
-    // every duplicate's promise. rep[j] indexes into `targets`.
+    // every duplicate's completion. rep[j] indexes into `targets`.
     //
     // The dedup key is global — the full (target, opts) identity: groups
     // are formed by exact options equality above, and within a group two
@@ -265,8 +275,8 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
     } catch (...) {
       const auto err = std::current_exception();
       for (const std::size_t j : group) {
-        flight[j].promise.set_exception(err);
-        // Exceptionally fulfilled is still completed: the drained-engine
+        flight[j].on_done(nullptr, err);
+        // Completed with an exception is still completed: the drained-engine
         // invariant completed == submitted must survive a failed flight.
         metrics.on_completed(us_since(flight[j].submitted));
       }
@@ -281,7 +291,7 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
     for (std::size_t j = 0; j < group.size(); ++j) {
       Request& r = flight[group[j]];
       const core::FactorizeResult& result = results[rep[j]];
-      r.promise.set_value(result);
+      r.on_done(&result, nullptr);
       const auto done = std::chrono::steady_clock::now();
       metrics.on_stage(Stage::kQueueWait, us_between(r.enqueued, r.dequeued));
       metrics.on_stage(Stage::kBatchAssembly,
@@ -317,11 +327,21 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
 void FactorizationEngine::batcher_loop(DispatcherState& state,
                                        std::uint32_t index) {
   while (true) {
-    std::vector<Request> flight = next_flight();
-    if (flight.empty()) return;
-    const std::size_t n = flight.size();
+    Flight flight = next_flight();
+    const std::size_t n = flight.live.size() + flight.expired.size();
+    if (n == 0) return;
     state.inflight.fetch_add(n, std::memory_order_relaxed);
-    run_flight(std::move(flight), state, index);
+    if (!flight.expired.empty()) {
+      const auto error = std::make_exception_ptr(DeadlineExceededError());
+      for (Request& r : flight.expired) {
+        r.on_done(nullptr, error);
+        state.metrics.on_expired();
+        state.metrics.on_completed(us_since(r.submitted));
+      }
+    }
+    if (!flight.live.empty()) {
+      run_flight(std::move(flight.live), state, index);
+    }
     state.inflight.fetch_sub(n, std::memory_order_relaxed);
   }
 }

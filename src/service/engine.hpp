@@ -1,21 +1,27 @@
 // FactorizationEngine: the asynchronous serving runtime over a Model.
 //
-//   submit(target, opts) ──► ResultCache probe ──hit──► ready future
-//        │ miss                                           ▲
-//        ▼                                                │ replay
-//   bounded MPMC queue  (backpressure: block or reject)   │
-//        │                                                │
-//        ▼                                                │
-//   micro-batcher thread: flush on max_batch or max_delay_us
-//        │  group by identical FactorizeOptions,
+//   submit(target, opts[, deadline, on_done]) ──► ResultCache probe
+//        │ miss                          hit ──► on_done inline (submitter)
+//        ▼
+//   bounded (deadline, seq) min-heap  (backpressure: block or reject)
+//        │
+//        ▼
+//   dispatcher thread(s): pop what is queued (up to max_batch) as soon as
+//        │  a dispatcher is free; expired requests complete with
+//        │  DeadlineExceededError; group by identical FactorizeOptions,
 //        │  coalesce duplicate targets within the flight
 //        ▼
 //   core::BatchFactorizer::factorize_all  (worker pool over the shared
 //        │                                 packed-SIMD scan planes)
 //        ▼
-//   fulfill promises + insert into ResultCache + record Metrics
+//   insert into ResultCache + record Metrics + on_done (dispatcher thread)
 //
-// Correctness contract: every future receives a FactorizeResult that is
+// There is one completion path: every request carries an on_done callback.
+// The future form of submit() is a promise set from that callback.
+// Batches form from whatever queued while a dispatcher was computing; no
+// request is held back to wait for company.
+//
+// Correctness contract: every completion receives a FactorizeResult that is
 // *bit-identical* to a direct Factorizer::factorize(target, opts) call —
 // regardless of how requests were batched, how many worker threads ran,
 // whether the result was coalesced with a duplicate in the same flight, or
@@ -27,13 +33,14 @@
 //
 // Shutdown: stop() (and the destructor) stops accepting new work, drains
 // every queued request through the normal batch path, then joins the
-// batcher thread — no future is ever abandoned.
+// dispatcher threads — no accepted request is ever abandoned.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -45,6 +52,7 @@
 #include "core/batch.hpp"
 #include "core/factorizer.hpp"
 #include "hdc/hypervector.hpp"
+#include "service/deadline_heap.hpp"
 #include "service/metrics.hpp"
 #include "service/model_registry.hpp"
 #include "service/result_cache.hpp"
@@ -53,15 +61,14 @@
 namespace factorhd::service {
 
 struct ServiceOptions {
-  /// Flush a micro-batch once this many requests are pending.
+  /// Most requests one dispatcher takes from the queue per flight. A free
+  /// dispatcher takes whatever is queued, up to this many, at once.
   std::size_t max_batch = 64;
-  /// ... or once the oldest pending request has waited this long (us).
-  /// 0 means "dispatch immediately, batch only what is already queued".
-  std::size_t max_delay_us = 200;
   /// Bounded request-queue capacity (the backpressure surface).
   std::size_t queue_capacity = 1024;
-  /// When the queue is full: true → submit() throws QueueFullError;
-  /// false → submit() blocks until space frees up.
+  /// When the queue is full: true → the future form of submit() throws
+  /// QueueFullError; false → it blocks until space frees up. The callback
+  /// form never blocks and always throws.
   bool reject_when_full = false;
   /// Micro-batcher (queue-consumer) threads. 1 maximizes coalescing; more
   /// dispatchers overlap batch formation with computation when flights are
@@ -98,6 +105,15 @@ class QueueFullError : public std::runtime_error {
             "FactorizationEngine: request queue full (backpressure)") {}
 };
 
+/// Delivered (as the completion's exception) to a request that was still
+/// queued past its deadline: it was never computed.
+class DeadlineExceededError : public std::runtime_error {
+ public:
+  DeadlineExceededError()
+      : std::runtime_error(
+            "FactorizationEngine: deadline passed before dispatch") {}
+};
+
 /// Thrown by submit() once stop() has begun: the engine's lifecycle state —
 /// not the caller's arguments — rejected the request, so it is a runtime
 /// error like QueueFullError, and callers can catch the two uniformly as
@@ -112,7 +128,7 @@ class EngineStoppedError : public std::runtime_error {
 /// Asynchronous factorization server over one immutable Model.
 ///
 /// \par Contract (bit-identical serving)
-/// Every future returned by submit() carries a core::FactorizeResult that
+/// Every completion of submit() carries a core::FactorizeResult that
 /// is bit-identical (doubles included) to a direct
 /// `Factorizer::factorize(target, opts)` call on the same Model —
 /// regardless of batch composition, dispatcher/worker thread counts,
@@ -141,11 +157,33 @@ class FactorizationEngine {
   FactorizationEngine(const FactorizationEngine&) = delete;
   FactorizationEngine& operator=(const FactorizationEngine&) = delete;
 
-  /// Submits one factorization request.
+  /// Completion callback: exactly one of `result` (non-null) and `error`
+  /// is set. It runs inline on the submitting thread for a cache hit and on
+  /// the dispatcher thread that computed (or expired) the request
+  /// otherwise, with no engine lock held. It must not throw, and it blocks
+  /// its dispatcher while it runs.
+  using OnDone = std::function<void(const core::FactorizeResult* result,
+                                    std::exception_ptr error)>;
+
+  /// Submits one factorization request; `on_done` fires exactly once if
+  /// this returns normally, and never if it throws. Never blocks.
   /// \param target Encoded target HV of the model's dimension.
   /// \param opts Per-request factorization options; requests batch together
   ///   only with identical options.
-  /// \return Future for the result (may already be ready on a cache hit).
+  /// \param deadline Dispatch deadline, and the queue's priority key: a
+  ///   request still queued after it completes with DeadlineExceededError.
+  /// \param on_done Completion callback (see OnDone).
+  /// \throws std::invalid_argument On a dimension mismatch.
+  /// \throws EngineStoppedError After stop() has begun.
+  /// \throws QueueFullError When the queue is full (regardless of
+  ///   reject_when_full).
+  void submit(hdc::Hypervector target, core::FactorizeOptions opts,
+              std::chrono::steady_clock::time_point deadline, OnDone on_done);
+
+  /// Submits one factorization request with no deadline: it is queued
+  /// under its submit time and never expires. A promise set from the
+  /// callback form's completion.
+  /// \return Future for the result (already ready on a cache hit).
   /// \throws std::invalid_argument On a dimension mismatch.
   /// \throws EngineStoppedError After stop() has begun — including when
   ///   stop() lands while the caller is blocked on backpressure (the
@@ -155,9 +193,9 @@ class FactorizationEngine {
       hdc::Hypervector target, core::FactorizeOptions opts = {});
 
   /// Stops accepting new submissions, drains every queued request through
-  /// the batch path, and joins the batcher thread. Idempotent; called by
-  /// the destructor. After stop(), every future obtained from submit() is
-  /// ready.
+  /// the batch path (expired ones complete with DeadlineExceededError), and
+  /// joins the dispatcher threads. Idempotent; called by the destructor.
+  /// After stop(), every accepted request has completed.
   void stop();
 
   /// \return Counter snapshot, safe to call at any time while serving.
@@ -168,7 +206,7 @@ class FactorizationEngine {
   /// One dispatcher's view for the `stats` per-dispatcher breakdown.
   struct DispatcherStats {
     MetricsSnapshot metrics;   ///< this dispatcher's compute-side counters
-    std::size_t inflight = 0;  ///< requests popped but not yet fulfilled
+    std::size_t inflight = 0;  ///< requests popped but not yet completed
   };
   /// \return Per-dispatcher compute-side snapshots (batches dispatched, max
   ///   batch high-water, in-flight depth), index-aligned with the pool.
@@ -207,7 +245,9 @@ class FactorizationEngine {
     hdc::Hypervector target;
     core::FactorizeOptions opts;
     std::uint64_t key = 0;  ///< request_key(target, opts)
-    std::promise<core::FactorizeResult> promise;
+    OnDone on_done;
+    std::chrono::steady_clock::time_point deadline;  ///< the heap key
+    bool expires = false;  ///< false: deadline is just the submit time
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point cache_done;  ///< cache probe done
     std::chrono::steady_clock::time_point enqueued;
@@ -218,18 +258,29 @@ class FactorizationEngine {
 
   /// One dispatcher's mutable state (unique_ptr-held: address-stable
   /// atomics). Compute-side metrics are uncontended on the dispatch path;
-  /// inflight is the popped-but-not-fulfilled gauge for `stats`.
+  /// inflight is the popped-but-not-completed gauge for `stats`.
   struct DispatcherState {
     Metrics metrics;
     std::atomic<std::size_t> inflight{0};
   };
 
+  /// What one dispatcher took from the queue in one pop.
+  struct Flight {
+    std::vector<Request> live;     ///< to compute, heap order
+    std::vector<Request> expired;  ///< queued past their deadline
+  };
+
+  /// Probes the cache (hit: completes inline) or queues the request.
+  /// `may_block` selects blocking backpressure over QueueFullError.
+  void enqueue(hdc::Hypervector target, core::FactorizeOptions opts,
+               std::chrono::steady_clock::time_point deadline, bool expires,
+               OnDone on_done, bool may_block);
   void batcher_loop(DispatcherState& state, std::uint32_t index);
-  /// Collects one flight from the queue (respecting max_batch/max_delay_us).
-  /// Returns an empty vector when stopping and the queue is drained.
-  [[nodiscard]] std::vector<Request> next_flight();
+  /// Pops what is queued, up to max_batch live requests, as soon as there
+  /// is any. Returns an empty flight when stopping and the queue is drained.
+  [[nodiscard]] Flight next_flight();
   /// Factorizes one flight: groups by options, coalesces duplicates,
-  /// dispatches BatchFactorizer, fulfills promises, feeds cache + the
+  /// dispatches BatchFactorizer, completes every request, feeds cache + the
   /// calling dispatcher's metrics set + per-stage latencies + traces.
   void run_flight(std::vector<Request> flight, DispatcherState& state,
                   std::uint32_t index);
@@ -256,7 +307,7 @@ class FactorizationEngine {
   mutable std::mutex mu_;
   std::condition_variable queue_ready_;  ///< signalled on enqueue and stop
   std::condition_variable queue_space_;  ///< signalled on dequeue
-  std::deque<Request> queue_;
+  DeadlineHeap<Request> queue_;
   bool stopping_ = false;
 
   std::mutex join_mu_;  ///< serializes concurrent stop() joins

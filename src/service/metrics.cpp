@@ -149,6 +149,7 @@ MetricsSnapshot Metrics::snapshot(std::size_t queue_depth) const {
   s.batches = batches_.load(std::memory_order_acquire);
   s.batched_requests = batched_requests_.load(std::memory_order_acquire);
   s.coalesced = coalesced_.load(std::memory_order_acquire);
+  s.expired = expired_.load(std::memory_order_acquire);
   s.submitted = submitted_.load(std::memory_order_acquire);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.max_batch_observed =
@@ -181,6 +182,7 @@ void Metrics::merge(const Metrics& other) noexcept {
       other.batched_requests_.load(std::memory_order_acquire);
   const std::uint64_t coalesced =
       other.coalesced_.load(std::memory_order_acquire);
+  const std::uint64_t expired = other.expired_.load(std::memory_order_acquire);
   const std::uint64_t submitted =
       other.submitted_.load(std::memory_order_acquire);
   const std::uint64_t rejected = other.rejected_.load(std::memory_order_relaxed);
@@ -192,6 +194,7 @@ void Metrics::merge(const Metrics& other) noexcept {
   batches_.fetch_add(batches, std::memory_order_relaxed);
   batched_requests_.fetch_add(batched, std::memory_order_relaxed);
   coalesced_.fetch_add(coalesced, std::memory_order_relaxed);
+  expired_.fetch_add(expired, std::memory_order_relaxed);
   submitted_.fetch_add(submitted, std::memory_order_relaxed);
   rejected_.fetch_add(rejected, std::memory_order_relaxed);
   std::uint64_t prev = max_batch_.load(std::memory_order_relaxed);
@@ -240,6 +243,7 @@ void Metrics::reset() noexcept {
   clear(batches_);
   clear(batched_requests_);
   clear(coalesced_);
+  clear(expired_);
   clear(rejected_);
   max_batch_.store(0, std::memory_order_release);
   submitted_.fetch_sub(submitted, std::memory_order_release);
@@ -248,8 +252,8 @@ void Metrics::reset() noexcept {
 std::string MetricsSnapshot::to_string() const {
   std::ostringstream os;
   os << "requests: " << submitted << " submitted, " << completed
-     << " completed, " << rejected << " rejected, " << queue_depth
-     << " queued\n"
+     << " completed, " << rejected << " rejected, " << expired
+     << " expired, " << queue_depth << " queued\n"
      << "cache:    " << cache_hits << " hits, " << cache_misses
      << " misses, " << coalesced << " coalesced in-batch\n"
      << "batches:  " << batches << " dispatched, mean " << mean_batch
@@ -286,7 +290,11 @@ std::string MetricsSnapshot::to_prometheus() const {
   counter("factorhd_requests_rejected_total",
           "Submits refused by queue backpressure.", rejected);
   counter("factorhd_requests_completed_total",
-          "Futures fulfilled (including cache hits).", completed);
+          "Requests completed (including cache hits and expiries).",
+          completed);
+  counter("factorhd_requests_expired_total",
+          "Requests dropped because their deadline passed in the queue.",
+          expired);
   counter("factorhd_cache_hits_total", "Requests served from the result cache.",
           cache_hits);
   counter("factorhd_cache_misses_total", "Requests enqueued for computation.",

@@ -39,10 +39,10 @@ enum class Stage : std::size_t {
   kQueueWait,        ///< enqueue → popped by a dispatcher
   kBatchAssembly,    ///< popped → batch handed to BatchFactorizer
   kScan,             ///< BatchFactorizer::factorize_all wall time
-  kMerge,            ///< results back → promise fulfilled (+ cache insert)
+  kMerge,            ///< results back → completion run (+ cache insert)
   kNetRead,          ///< socket bytes → frame parsed + request decoded
   kAdmission,        ///< frame decoded → admitted + handed to the engine
-  kNetWrite,         ///< engine future ready → response bytes buffered
+  kNetWrite,         ///< engine completion → response bytes buffered
 };
 inline constexpr std::size_t kNumStages = 8;
 
@@ -55,7 +55,9 @@ inline constexpr std::size_t kNumStages = 8;
 struct MetricsSnapshot {
   std::uint64_t submitted = 0;      ///< accepted submit() calls
   std::uint64_t rejected = 0;       ///< submits refused by backpressure
-  std::uint64_t completed = 0;      ///< futures fulfilled (incl. cache hits)
+  std::uint64_t completed = 0;      ///< requests completed (incl. cache
+                                    ///< hits, failures and expiries)
+  std::uint64_t expired = 0;        ///< completed with DeadlineExceededError
   std::uint64_t cache_hits = 0;     ///< served straight from the ResultCache
   std::uint64_t cache_misses = 0;   ///< enqueued for computation
   std::uint64_t batches = 0;        ///< micro-batches dispatched
@@ -110,11 +112,13 @@ class Metrics {
   void on_cache_hit() noexcept { inc(cache_hits_); }
   void on_cache_miss() noexcept { inc(cache_misses_); }
   void on_coalesced() noexcept { inc(coalesced_); }
+  /// One request dropped past its deadline (it is also on_completed).
+  void on_expired() noexcept { inc(expired_); }
 
   /// Records one dispatched micro-batch of `requests` requests.
   void on_batch(std::size_t requests) noexcept;
 
-  /// Records one fulfilled future and its submit→completion latency.
+  /// Records one completed request and its submit→completion latency.
   void on_completed(double latency_us) noexcept;
 
   /// Records one request's dwell time in pipeline stage `stage`.
@@ -174,6 +178,7 @@ class Metrics {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
   std::atomic<std::uint64_t> coalesced_{0};
+  std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> max_batch_{0};
   /// latency_ns histogram: bucket i counts latencies in [2^i, 2^(i+1)) ns.
   Histogram latency_buckets_{};

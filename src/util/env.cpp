@@ -62,9 +62,7 @@ std::span<const EnvKnob> env_knobs() {
       {"FACTORHD_SERVE_CACHE_CAP", "0 (off) .. 2^24", "4096",
        "factorhd_serve: ResultCache entries"},
       {"FACTORHD_SERVE_MAX_BATCH", "1 .. 4096", "64",
-       "factorhd_serve: micro-batch flush size"},
-      {"FACTORHD_SERVE_MAX_DELAY_US", "0 .. 10^6", "200",
-       "factorhd_serve: micro-batch flush deadline (us)"},
+       "factorhd_serve: most requests a dispatcher takes per flight"},
       {"FACTORHD_SERVE_QUEUE_CAP", "1 .. 2^20", "1024",
        "factorhd_serve: bounded request-queue capacity"},
       {"FACTORHD_SHARDS", "1 .. 1024", "1 = unsharded",

@@ -125,21 +125,20 @@ class NetDifferentialTest : public ::testing::Test {
 TEST_F(NetDifferentialTest, NoBatchingUnshardedSynchronous) {
   build(/*shards=*/1);
   service::FactorizationEngine engine(
-      model_, {.max_batch = 1, .max_delay_us = 0, .cache_capacity = 0});
+      model_, {.max_batch = 1, .cache_capacity = 0});
   run_differential(engine, /*pipeline_depth=*/1, /*stream=*/false);
 }
 
 TEST_F(NetDifferentialTest, MicroBatchingPipelined) {
   build(/*shards=*/1);
   service::FactorizationEngine engine(
-      model_, {.max_batch = 8, .max_delay_us = 500, .cache_capacity = 0});
+      model_, {.max_batch = 8, .cache_capacity = 0});
   run_differential(engine, /*pipeline_depth=*/8, /*stream=*/false);
 }
 
 TEST_F(NetDifferentialTest, LargeBatchDeepPipeline) {
   build(/*shards=*/1);
   service::FactorizationEngine engine(model_, {.max_batch = 64,
-                                               .max_delay_us = 2000,
                                                .batch_threads = 4,
                                                .cache_capacity = 0});
   run_differential(engine, /*pipeline_depth=*/16, /*stream=*/false);
@@ -148,14 +147,14 @@ TEST_F(NetDifferentialTest, LargeBatchDeepPipeline) {
 TEST_F(NetDifferentialTest, ShardedModelMatchesDirect) {
   build(/*shards=*/4);
   service::FactorizationEngine engine(
-      model_, {.max_batch = 8, .max_delay_us = 500, .cache_capacity = 0});
+      model_, {.max_batch = 8, .cache_capacity = 0});
   run_differential(engine, /*pipeline_depth=*/8, /*stream=*/false);
 }
 
 TEST_F(NetDifferentialTest, StreamedPartialsReassembleExactly) {
   build(/*shards=*/1);
   service::FactorizationEngine engine(
-      model_, {.max_batch = 8, .max_delay_us = 500, .cache_capacity = 0});
+      model_, {.max_batch = 8, .cache_capacity = 0});
   run_differential(engine, /*pipeline_depth=*/4, /*stream=*/true);
 }
 
@@ -165,7 +164,6 @@ TEST_F(NetDifferentialTest, StreamedShardedCachedPipelined) {
   // largely cache-served through the socket.
   build(/*shards=*/4);
   service::FactorizationEngine engine(model_, {.max_batch = 8,
-                                               .max_delay_us = 500,
                                                .dispatchers = 2,
                                                .cache_capacity = 128});
   run_differential(engine, /*pipeline_depth=*/16, /*stream=*/true);

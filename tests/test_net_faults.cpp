@@ -7,8 +7,9 @@
 // counters and exactly-once admission-slot release), well-behaved ones are
 // unaffected, and shutdown drains every admitted request. The suite name
 // (NetFaults) is matched by the TSan job / `check.sh --tsan`, so every
-// cross-thread path (loop / dispatcher / completion workers) runs under
-// the race detector.
+// cross-thread path (loop thread / engine dispatcher completions) runs
+// under the race detector. Tests that need requests to stay in flight park
+// the engine's dispatcher (engine_parker.hpp) instead of relying on timing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine_parker.hpp"
 #include "net/net.hpp"
 #include "service/service.hpp"
 #include "taxonomy/generator.hpp"
@@ -24,6 +26,7 @@ namespace {
 
 using namespace factorhd;
 using namespace std::chrono_literals;
+using testing_support::EngineParker;
 
 /// Polls `pred` until true or `timeout` expires (server counters are
 /// updated on the loop thread; tests must wait, not assume).
@@ -49,21 +52,11 @@ class NetFaults : public ::testing::Test {
     target_ = model_->encoder().encode_object(tax::random_object(taxonomy, rng));
   }
 
-  /// Engine whose micro-batcher HOLDS requests (long flush deadline, large
-  /// batch) so in-flight state is observable from the outside.
-  [[nodiscard]] std::unique_ptr<service::FactorizationEngine> slow_engine() {
-    return std::make_unique<service::FactorizationEngine>(
-        model_, service::ServiceOptions{.max_batch = 1024,
-                                        .max_delay_us = 200'000,
-                                        .cache_capacity = 0});
-  }
-
-  /// Engine that answers promptly.
+  /// Engine that answers promptly: one dispatcher and no result cache, so
+  /// an EngineParker can hold it.
   [[nodiscard]] std::unique_ptr<service::FactorizationEngine> fast_engine() {
     return std::make_unique<service::FactorizationEngine>(
-        model_, service::ServiceOptions{.max_batch = 1,
-                                        .max_delay_us = 0,
-                                        .cache_capacity = 0});
+        model_, service::ServiceOptions{.max_batch = 1, .cache_capacity = 0});
   }
 
   std::shared_ptr<const service::Model> model_;
@@ -121,9 +114,10 @@ TEST_F(NetFaults, IdleConnectionWithNoBytesTimesOut) {
 // ---------------------------------------------------------------------------
 
 TEST_F(NetFaults, MidRequestDisconnectDropsResponseAndReleasesSlot) {
-  auto engine = slow_engine();
+  auto engine = fast_engine();
   net::NetServer server(*engine, {});
   server.start();
+  EngineParker parker(*engine, target_);
 
   {
     net::NetClient doomed("127.0.0.1", server.port());
@@ -132,6 +126,10 @@ TEST_F(NetFaults, MidRequestDisconnectDropsResponseAndReleasesSlot) {
     ASSERT_TRUE(eventually(
         [&] { return server.admission_stats().admitted >= 1; }));
   }  // ~NetClient closes the socket with the request still in flight
+  // Let the answer come only once the server has seen the close.
+  ASSERT_TRUE(eventually(
+      [&] { return server.counters().connections_closed >= 1; }));
+  parker.release();
 
   EXPECT_TRUE(eventually(
       [&] { return server.counters().responses_dropped >= 1; }))
@@ -152,12 +150,15 @@ TEST_F(NetFaults, MidRequestDisconnectDropsResponseAndReleasesSlot) {
 // ---------------------------------------------------------------------------
 
 TEST_F(NetFaults, PipelinedBurstPastQuotaAnswersOverload) {
-  auto engine = slow_engine();  // holds requests so in-flight accumulates
+  auto engine = fast_engine();
   net::ServerOptions opts;
   opts.admission.depth = 64;
   opts.admission.client_quota = 2;
   net::NetServer server(*engine, opts);
   server.start();
+  // Declared after the server: released (by its destructor at the latest)
+  // before server.stop() waits for the in-flight requests.
+  EngineParker parker(*engine, target_);
 
   net::NetClient client("127.0.0.1", server.port());
   client.set_recv_timeout(10s);
@@ -165,6 +166,11 @@ TEST_F(NetFaults, PipelinedBurstPastQuotaAnswersOverload) {
   for (std::size_t i = 0; i < kSent; ++i) {
     (void)client.send_factorize(target_);
   }
+  ASSERT_TRUE(eventually([&] {
+    const net::AdmissionStats a = server.admission_stats();
+    return a.admitted + a.rejected_quota == kSent;
+  }));
+  parker.release();
 
   std::size_t results = 0;
   std::size_t overloads = 0;
@@ -180,11 +186,10 @@ TEST_F(NetFaults, PipelinedBurstPastQuotaAnswersOverload) {
       ++overloads;
     }
   }
-  // The burst lands while the slow engine holds the first two, so at least
-  // quota-many succeed and at least one is rejected; every send is
-  // accounted exactly once.
-  EXPECT_GE(results, 2u);
-  EXPECT_GE(overloads, 1u);
+  // The whole burst lands while the parked engine holds the first two:
+  // exactly quota-many succeed, and every send is accounted exactly once.
+  EXPECT_EQ(results, 2u);
+  EXPECT_EQ(overloads, kSent - 2);
   EXPECT_EQ(results + overloads, kSent);
 
   const net::AdmissionStats stats = server.admission_stats();
@@ -196,12 +201,13 @@ TEST_F(NetFaults, PipelinedBurstPastQuotaAnswersOverload) {
 }
 
 TEST_F(NetFaults, QueueFullAnswersOverload) {
-  auto engine = slow_engine();
+  auto engine = fast_engine();
   net::ServerOptions opts;
   opts.admission.depth = 1;
   opts.admission.client_quota = 64;
   net::NetServer server(*engine, opts);
   server.start();
+  EngineParker parker(*engine, target_);
 
   net::NetClient client("127.0.0.1", server.port());
   client.set_recv_timeout(10s);
@@ -209,6 +215,11 @@ TEST_F(NetFaults, QueueFullAnswersOverload) {
   for (std::size_t i = 0; i < kSent; ++i) {
     (void)client.send_factorize(target_);
   }
+  ASSERT_TRUE(eventually([&] {
+    const net::AdmissionStats a = server.admission_stats();
+    return a.admitted + a.rejected_full == kSent;
+  }));
+  parker.release();
   std::size_t results = 0;
   std::size_t full = 0;
   for (std::size_t i = 0; i < kSent; ++i) {
@@ -222,12 +233,51 @@ TEST_F(NetFaults, QueueFullAnswersOverload) {
     }
   }
   EXPECT_EQ(results + full, kSent);
-  // depth=1 and a held engine: the burst cannot all fit.
-  EXPECT_GE(full, 1u);
+  // depth=1 and a parked engine: only the first request fits.
+  EXPECT_EQ(results, 1u);
+  EXPECT_EQ(full, kSent - 1);
   const net::AdmissionStats stats = server.admission_stats();
   EXPECT_EQ(stats.rejected_full, full);
   EXPECT_EQ(stats.admitted, results);
   server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Deadlines: a request still queued past its deadline hint is answered
+// kDeadlineExceeded; one without a hint gets the server default and its
+// result.
+// ---------------------------------------------------------------------------
+
+TEST_F(NetFaults, ExpiredDeadlineAnswersDeadlineExceeded) {
+  auto engine = fast_engine();
+  net::NetServer server(*engine, {});
+  server.start();
+  EngineParker parker(*engine, target_);
+
+  net::NetClient client("127.0.0.1", server.port());
+  client.set_recv_timeout(10s);
+  const std::uint64_t hurried =
+      client.send_factorize(target_, {}, false, /*deadline_hint_us=*/1);
+  const std::uint64_t patient = client.send_factorize(target_);
+  ASSERT_TRUE(eventually(
+      [&] { return server.admission_stats().admitted >= 2; }));
+  parker.release();
+
+  const core::FactorizeResult expected =
+      model_->factorizer().factorize(target_, {});
+  for (int i = 0; i < 2; ++i) {
+    const net::NetClient::Response resp = client.recv_response();
+    if (resp.request_id == hurried) {
+      ASSERT_EQ(resp.kind, net::NetClient::Response::Kind::kError);
+      EXPECT_EQ(resp.error_code, net::ErrorCode::kDeadlineExceeded);
+    } else {
+      ASSERT_EQ(resp.request_id, patient);
+      ASSERT_EQ(resp.kind, net::NetClient::Response::Kind::kResult);
+      EXPECT_TRUE(resp.result == expected);
+    }
+  }
+  server.stop();
+  EXPECT_EQ(engine->metrics().expired, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,9 +377,10 @@ TEST_F(NetFaults, DimensionMismatchAnswersTypedError) {
 // ---------------------------------------------------------------------------
 
 TEST_F(NetFaults, StopDrainsInFlightRequests) {
-  auto engine = slow_engine();  // requests are in flight when stop() lands
+  auto engine = fast_engine();
   net::NetServer server(*engine, {});
   server.start();
+  EngineParker parker(*engine, target_);
 
   net::NetClient client("127.0.0.1", server.port());
   client.set_recv_timeout(10s);
@@ -341,6 +392,7 @@ TEST_F(NetFaults, StopDrainsInFlightRequests) {
       [&] { return server.admission_stats().admitted >= kSent; }));
 
   std::thread stopper([&] { server.stop(); });
+  parker.release();
   const core::FactorizeResult expected =
       model_->factorizer().factorize(target_, {});
   for (std::size_t i = 0; i < kSent; ++i) {
@@ -354,9 +406,10 @@ TEST_F(NetFaults, StopDrainsInFlightRequests) {
 }
 
 TEST_F(NetFaults, RequestsAfterDrainStartAreRejectedShuttingDown) {
-  auto engine = slow_engine();
+  auto engine = fast_engine();
   net::NetServer server(*engine, {});
   server.start();
+  EngineParker parker(*engine, target_);
 
   net::NetClient client("127.0.0.1", server.port());
   client.set_recv_timeout(10s);
@@ -365,6 +418,7 @@ TEST_F(NetFaults, RequestsAfterDrainStartAreRejectedShuttingDown) {
       [&] { return server.admission_stats().admitted >= 1; }));
 
   std::thread stopper([&] { server.stop(); });
+  parker.release();
   // Responses during the drain are either the real result or a typed
   // kShuttingDown error for frames landing after the drain began — but
   // never silence.

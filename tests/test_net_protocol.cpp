@@ -371,6 +371,18 @@ TEST(NetProtocol, ErrorAndOverloadRoundTrip) {
   EXPECT_EQ(back.detail, info.detail);
 }
 
+TEST(NetProtocol, DeadlineExceededIsErrorCodeEight) {
+  // The wire value is part of the protocol (docs/PROTOCOL.md).
+  EXPECT_EQ(static_cast<std::uint16_t>(net::ErrorCode::kDeadlineExceeded), 8);
+  const auto err =
+      net::encode_error(net::ErrorCode::kDeadlineExceeded, "too late");
+  EXPECT_EQ(err[0], 8);  // u16 little-endian
+  EXPECT_EQ(err[1], 0);
+  const auto [code, message] = net::decode_error(err);
+  EXPECT_EQ(code, net::ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(message, "too late");
+}
+
 TEST(NetProtocol, PayloadDecoderFuzzNeverCrashes) {
   // Seeded random payloads through every decoder: clean ProtocolError or
   // clean success, never a crash (ASan/UBSan enforce the "clean").

@@ -9,6 +9,8 @@
 // configurations on a seeded workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -16,11 +18,13 @@
 #include <vector>
 
 #include "core/factorhd.hpp"
+#include "engine_parker.hpp"
 #include "service/service.hpp"
 
 namespace {
 
 using namespace factorhd;
+using testing_support::EngineParker;
 
 struct WorkItem {
   hdc::Hypervector target;
@@ -89,19 +93,18 @@ class ServiceEngineTest : public ::testing::Test {
 
 TEST_F(ServiceEngineTest, NoBatchingMatchesDirect) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 1, .max_delay_us = 0, .cache_capacity = 0});
+      model_, {.max_batch = 1, .cache_capacity = 0});
   run_differential(engine);
 }
 
 TEST_F(ServiceEngineTest, MicroBatchingMatchesDirect) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 8, .max_delay_us = 500, .cache_capacity = 0});
+      model_, {.max_batch = 8, .cache_capacity = 0});
   run_differential(engine);
 }
 
 TEST_F(ServiceEngineTest, LargeBatchManyThreadsMatchesDirect) {
   service::FactorizationEngine engine(model_, {.max_batch = 64,
-                                               .max_delay_us = 2000,
                                                .batch_threads = 4,
                                                .cache_capacity = 0});
   run_differential(engine);
@@ -110,7 +113,6 @@ TEST_F(ServiceEngineTest, LargeBatchManyThreadsMatchesDirect) {
 TEST_F(ServiceEngineTest, MultipleDispatchersMatchDirect) {
   // MPMC: several queue-consumer threads forming flights concurrently.
   service::FactorizationEngine engine(model_, {.max_batch = 4,
-                                               .max_delay_us = 100,
                                                .dispatchers = 3,
                                                .cache_capacity = 64});
   run_differential(engine);
@@ -119,7 +121,7 @@ TEST_F(ServiceEngineTest, MultipleDispatchersMatchDirect) {
 
 TEST_F(ServiceEngineTest, CachingAndCoalescingMatchDirect) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 8, .max_delay_us = 500, .cache_capacity = 128});
+      model_, {.max_batch = 8, .cache_capacity = 128});
   run_differential(engine);
   // Replay the whole workload: now largely cache-served — still identical.
   run_differential(engine);
@@ -130,7 +132,7 @@ TEST_F(ServiceEngineTest, CachingAndCoalescingMatchDirect) {
 
 TEST_F(ServiceEngineTest, SequentialRepeatIsACacheHit) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 4, .max_delay_us = 100, .cache_capacity = 64});
+      model_, {.max_batch = 4, .cache_capacity = 64});
   auto first = engine.submit(work_[0].target, work_[0].opts);
   EXPECT_TRUE(first.get() == work_[0].expected);
   // The first result is now cached; an identical request must hit and be
@@ -142,7 +144,7 @@ TEST_F(ServiceEngineTest, SequentialRepeatIsACacheHit) {
 
 TEST_F(ServiceEngineTest, MetricsInvariantsAfterDrain) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 8, .max_delay_us = 200, .cache_capacity = 64});
+      model_, {.max_batch = 8, .cache_capacity = 64});
   std::vector<std::future<core::FactorizeResult>> futures;
   for (const WorkItem& item : work_) {
     futures.push_back(engine.submit(item.target, item.opts));
@@ -164,7 +166,7 @@ TEST_F(ServiceEngineTest, MetricsInvariantsAfterDrain) {
 
 TEST_F(ServiceEngineTest, SubmitAfterStopThrowsEvenOnACachedTarget) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 4, .max_delay_us = 100, .cache_capacity = 64});
+      model_, {.max_batch = 4, .cache_capacity = 64});
   auto fut = engine.submit(work_[0].target, work_[0].opts);
   (void)fut.get();  // result is now cached
   engine.stop();
@@ -175,7 +177,7 @@ TEST_F(ServiceEngineTest, SubmitAfterStopThrowsEvenOnACachedTarget) {
 
 TEST_F(ServiceEngineTest, StopDrainsEveryInFlightRequest) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 4, .max_delay_us = 100000, .cache_capacity = 0});
+      model_, {.max_batch = 4, .cache_capacity = 0});
   std::vector<std::future<core::FactorizeResult>> futures;
   for (const WorkItem& item : work_) {
     futures.push_back(engine.submit(item.target, item.opts));
@@ -193,14 +195,13 @@ TEST_F(ServiceEngineTest, StopDrainsEveryInFlightRequest) {
 }
 
 TEST_F(ServiceEngineTest, RejectsWhenQueueFull) {
-  // A huge max_batch with a long delay parks the batcher waiting on the
-  // flush deadline while the queue (capacity 2) fills: deterministic
-  // backpressure.
+  // A parked dispatcher takes nothing from the queue (capacity 2), so
+  // exactly two of eight submits fit: deterministic backpressure.
   service::FactorizationEngine engine(model_, {.max_batch = 1000,
-                                               .max_delay_us = 5000000,
                                                .queue_capacity = 2,
                                                .reject_when_full = true,
                                                .cache_capacity = 0});
+  EngineParker parker(engine, work_[3].target);
   std::vector<std::future<core::FactorizeResult>> accepted;
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 8; ++i) {
@@ -210,8 +211,9 @@ TEST_F(ServiceEngineTest, RejectsWhenQueueFull) {
       ++rejected;
     }
   }
-  EXPECT_GE(rejected, 1u);
-  EXPECT_LE(accepted.size(), 8u - rejected);
+  EXPECT_EQ(accepted.size(), 2u);
+  EXPECT_EQ(rejected, 6u);
+  parker.release();
   engine.stop();  // drains the accepted ones
   for (auto& f : accepted) {
     EXPECT_TRUE(f.get() == work_[0].expected);
@@ -220,15 +222,15 @@ TEST_F(ServiceEngineTest, RejectsWhenQueueFull) {
 }
 
 TEST_F(ServiceEngineTest, StopWhileBlockedOnBackpressureThrowsStoppedError) {
-  // A parked batcher (huge max_batch + long flush deadline) with a
-  // capacity-1 queue: the first submit fills the queue, the second blocks
-  // on backpressure. stop() must wake it with EngineStoppedError — the
-  // request was never enqueued, so fulfilling it is impossible.
+  // A parked dispatcher with a capacity-1 queue: the first submit fills the
+  // queue, the second blocks on backpressure. stop() must wake it with
+  // EngineStoppedError — the request was never enqueued, so fulfilling it
+  // is impossible.
   service::FactorizationEngine engine(model_, {.max_batch = 1000,
-                                               .max_delay_us = 5000000,
                                                .queue_capacity = 1,
                                                .reject_when_full = false,
                                                .cache_capacity = 0});
+  EngineParker parker(engine, work_[3].target);
   auto queued = engine.submit(work_[0].target, work_[0].opts);
   auto blocked = std::async(std::launch::async, [&] {
     return engine.submit(work_[1].target, work_[1].opts);
@@ -237,15 +239,18 @@ TEST_F(ServiceEngineTest, StopWhileBlockedOnBackpressureThrowsStoppedError) {
   // wins the race anyway, submit still throws EngineStoppedError, just from
   // the earlier stopped check.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  engine.stop();
+  // stop() joins the dispatcher, which is parked: stop on another thread,
+  // and release the dispatcher once the blocked submit has been refused.
+  std::thread stopper([&] { engine.stop(); });
   EXPECT_THROW((void)blocked.get(), service::EngineStoppedError);
+  parker.release();
+  stopper.join();
   EXPECT_TRUE(queued.get() == work_[0].expected)
       << "stop() must still drain the request that did get enqueued";
 }
 
 TEST_F(ServiceEngineTest, BlockingBackpressureEventuallyServesEverything) {
   service::FactorizationEngine engine(model_, {.max_batch = 2,
-                                               .max_delay_us = 100,
                                                .queue_capacity = 2,
                                                .reject_when_full = false,
                                                .cache_capacity = 0});
@@ -261,7 +266,7 @@ TEST_F(ServiceEngineTest, BlockingBackpressureEventuallyServesEverything) {
 
 TEST_F(ServiceEngineTest, FailedFlightPropagatesExceptionAndStaysConsistent) {
   service::FactorizationEngine engine(
-      model_, {.max_batch = 4, .max_delay_us = 100, .cache_capacity = 64});
+      model_, {.max_batch = 4, .cache_capacity = 64});
   // Passes submit (dimension is fine) but throws inside the dispatched
   // factorize_all: a selected class out of range.
   core::FactorizeOptions bad;
@@ -327,7 +332,6 @@ TEST_F(ServiceEngineTest, ShardedModelServesBitIdenticalResults) {
         tax::TaxonomyCodebooks(tax::Taxonomy(3, {8, 4}), kDim, fresh),
         hdc::ScanBackend::kAuto, nullptr, cfg);
     service::FactorizationEngine engine(sharded, {.max_batch = 8,
-                                                  .max_delay_us = 200,
                                                   .dispatchers = 2,
                                                   .cache_capacity = 64});
     run_differential(engine);
@@ -339,9 +343,9 @@ TEST_F(ServiceEngineTest, CoalescingKeysOnGlobalIdentityUnderSharding) {
   // The coalescing pin under kSharded: the dedup key is the full global
   // (target, opts) identity, independent of the model's shard partition —
   // a flight of k duplicates must compute once and coalesce k-1, exactly
-  // as an unsharded engine would. A parked batcher (huge max_batch + long
-  // flush deadline) plus stop()'s drain makes the flight composition
-  // deterministic; the cache is off so coalescing is the only reuse path.
+  // as an unsharded engine would. The duplicates queue behind a parked
+  // dispatcher, which takes them as one flight once released; the cache is
+  // off so coalescing is the only reuse path.
   util::Xoshiro256 rng(1234);  // same seed → same codebooks as model_
   hdc::kernels::ShardedConfig cfg;
   cfg.shards = 4;
@@ -351,15 +355,16 @@ TEST_F(ServiceEngineTest, CoalescingKeysOnGlobalIdentityUnderSharding) {
   for (const auto& model : {model_, sharded}) {
     SCOPED_TRACE(model == model_ ? "unsharded" : "4-way sharded");
     service::FactorizationEngine engine(model, {.max_batch = 1000,
-                                                .max_delay_us = 5000000,
                                                 .dispatchers = 1,
                                                 .cache_capacity = 0});
+    EngineParker parker(engine, work_[3].target);
     std::vector<std::future<core::FactorizeResult>> futures;
     for (int i = 0; i < 5; ++i) {
       futures.push_back(engine.submit(work_[0].target, work_[0].opts));
     }
     futures.push_back(engine.submit(work_[1].target, work_[1].opts));
-    engine.stop();  // drains the parked queue as one flight
+    parker.release();
+    engine.stop();
     for (std::size_t i = 0; i < 5; ++i) {
       EXPECT_TRUE(futures[i].get() == work_[0].expected);
     }
@@ -367,8 +372,208 @@ TEST_F(ServiceEngineTest, CoalescingKeysOnGlobalIdentityUnderSharding) {
     const auto m = engine.metrics();
     EXPECT_EQ(m.coalesced, 4u)
         << "5 identical requests in one flight must coalesce to 1 compute";
-    EXPECT_EQ(m.completed, 6u);
+    EXPECT_EQ(m.completed, 7u) << "the parking request plus the six";
   }
+}
+
+// ---------------------------------------------------------------------------
+// The callback form: on_done fires exactly once per accepted submit, on the
+// thread the contract names, and deadlines expire queued requests.
+// ---------------------------------------------------------------------------
+
+/// Records every on_done call of one request.
+struct DoneProbe {
+  std::atomic<int> calls{0};
+  std::atomic<bool> had_result{false};
+  std::exception_ptr error;
+  std::thread::id thread;
+  std::promise<void> fired;
+
+  service::FactorizationEngine::OnDone callback(
+      core::FactorizeResult* copy = nullptr) {
+    return [this, copy](const core::FactorizeResult* result,
+                        std::exception_ptr err) {
+      if (result != nullptr && copy != nullptr) *copy = *result;
+      had_result = result != nullptr;
+      error = std::move(err);
+      thread = std::this_thread::get_id();
+      if (calls.fetch_add(1) == 0) fired.set_value();
+    };
+  }
+  void wait() { fired.get_future().wait(); }
+};
+
+std::chrono::steady_clock::time_point far_deadline() {
+  return std::chrono::steady_clock::now() + std::chrono::hours(1);
+}
+
+TEST_F(ServiceEngineTest, CallbackOnCacheHitRunsInlineExactlyOnce) {
+  service::FactorizationEngine engine(model_, {.cache_capacity = 64});
+  (void)engine.submit(work_[0].target, work_[0].opts).get();  // now cached
+  DoneProbe probe;
+  core::FactorizeResult got;
+  engine.submit(work_[0].target, work_[0].opts, far_deadline(),
+                probe.callback(&got));
+  // Inline: complete before submit returned, on this thread.
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_EQ(probe.thread, std::this_thread::get_id());
+  EXPECT_TRUE(probe.had_result);
+  EXPECT_TRUE(got == work_[0].expected);
+  engine.stop();
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_EQ(engine.metrics().cache_hits, 1u);
+}
+
+TEST_F(ServiceEngineTest, CallbackOnComputedResultRunsOnTheDispatcher) {
+  service::FactorizationEngine engine(model_, {.cache_capacity = 0});
+  DoneProbe probe;
+  core::FactorizeResult got;
+  engine.submit(work_[2].target, work_[2].opts, far_deadline(),
+                probe.callback(&got));
+  probe.wait();
+  EXPECT_NE(probe.thread, std::this_thread::get_id());
+  EXPECT_TRUE(probe.had_result);
+  EXPECT_FALSE(probe.error);
+  EXPECT_TRUE(got == work_[2].expected);
+  engine.stop();
+  EXPECT_EQ(probe.calls.load(), 1);
+}
+
+TEST_F(ServiceEngineTest, CallbackOnFailureCarriesTheExceptionOnce) {
+  service::FactorizationEngine engine(model_, {.cache_capacity = 0});
+  core::FactorizeOptions bad;
+  bad.selected_classes = {99};  // throws inside factorize_all
+  DoneProbe probe;
+  engine.submit(work_[0].target, bad, far_deadline(), probe.callback());
+  probe.wait();
+  engine.stop();
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_FALSE(probe.had_result);
+  ASSERT_TRUE(probe.error);
+  EXPECT_THROW(std::rethrow_exception(probe.error), std::invalid_argument);
+}
+
+TEST_F(ServiceEngineTest, CallbackSubmitThrowsInsteadOfBlockingWhenFull) {
+  // Blocking backpressure applies to the future form only: the callback
+  // form is called from event loops and must never wait.
+  service::FactorizationEngine engine(model_, {.queue_capacity = 1,
+                                               .reject_when_full = false,
+                                               .cache_capacity = 0});
+  EngineParker parker(engine, work_[3].target);
+  DoneProbe queued;
+  DoneProbe refused;
+  engine.submit(work_[0].target, work_[0].opts, far_deadline(),
+                queued.callback());
+  EXPECT_THROW(engine.submit(work_[1].target, work_[1].opts, far_deadline(),
+                             refused.callback()),
+               service::QueueFullError);
+  parker.release();
+  engine.stop();
+  EXPECT_EQ(queued.calls.load(), 1);
+  EXPECT_EQ(refused.calls.load(), 0) << "a refused submit never completes";
+  EXPECT_EQ(engine.metrics().rejected, 1u);
+}
+
+TEST_F(ServiceEngineTest, StopDrainsCallbacksAndExpiresWhatIsLate) {
+  // Requests queued behind a parked dispatcher when stop() lands: each
+  // completes exactly once — computed, or DeadlineExceededError when its
+  // deadline passed in the queue — and completed == submitted after.
+  service::FactorizationEngine engine(model_, {.max_batch = 4,
+                                               .cache_capacity = 0});
+  EngineParker parker(engine, work_[3].target);
+  constexpr std::size_t kLive = 6;
+  std::vector<DoneProbe> live(kLive);
+  std::vector<core::FactorizeResult> got(kLive);
+  for (std::size_t i = 0; i < kLive; ++i) {
+    engine.submit(work_[i].target, work_[i].opts, far_deadline(),
+                  live[i].callback(&got[i]));
+  }
+  DoneProbe late;
+  engine.submit(work_[0].target, work_[0].opts,
+                std::chrono::steady_clock::now() + std::chrono::microseconds(1),
+                late.callback());
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::thread stopper([&] { engine.stop(); });
+  parker.release();
+  stopper.join();
+  for (std::size_t i = 0; i < kLive; ++i) {
+    EXPECT_EQ(live[i].calls.load(), 1) << "request " << i;
+    EXPECT_TRUE(got[i] == work_[i].expected) << "request " << i;
+  }
+  EXPECT_EQ(late.calls.load(), 1);
+  EXPECT_FALSE(late.had_result);
+  ASSERT_TRUE(late.error);
+  EXPECT_THROW(std::rethrow_exception(late.error),
+               service::DeadlineExceededError);
+  const auto m = engine.metrics();
+  EXPECT_EQ(m.expired, 1u);
+  EXPECT_EQ(m.submitted, kLive + 2);  // + the parking request
+  EXPECT_EQ(m.completed, m.submitted) << "expiries count as completed";
+  EXPECT_EQ(m.batched_requests + m.expired, m.cache_misses);
+}
+
+TEST_F(ServiceEngineTest, FutureFormNeverExpires) {
+  // The future form carries no deadline: queued under its submit time, it
+  // is computed however long it waited.
+  service::FactorizationEngine engine(model_, {.cache_capacity = 0});
+  EngineParker parker(engine, work_[3].target);
+  auto fut = engine.submit(work_[1].target, work_[1].opts);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  parker.release();
+  EXPECT_TRUE(fut.get() == work_[1].expected);
+  engine.stop();
+  EXPECT_EQ(engine.metrics().expired, 0u);
+}
+
+TEST_F(ServiceEngineTest, QueuePopsInDeadlineThenSubmitOrder) {
+  // max_batch = 1: each flight is the queue's minimum at that moment, so
+  // the completion order is the heap's pop order.
+  service::FactorizationEngine engine(model_, {.max_batch = 1,
+                                               .cache_capacity = 0});
+  EngineParker parker(engine, work_[3].target);
+  const auto base = far_deadline();
+  const int offsets_ms[] = {30, 10, 20, 10, 0, 30};
+  std::mutex mu;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    engine.submit(work_[0].target, work_[0].opts,
+                  base + std::chrono::milliseconds(offsets_ms[i]),
+                  [&mu, &order, i](const core::FactorizeResult*,
+                                   std::exception_ptr) {
+                    std::lock_guard lock(mu);
+                    order.push_back(i);
+                  });
+  }
+  parker.release();
+  engine.stop();
+  // Deadline ascending; equal deadlines in submit order.
+  EXPECT_EQ(order, (std::vector<int>{4, 1, 3, 2, 0, 5}));
+}
+
+TEST(DeadlineHeap, PopsInDeadlineThenSequenceOrder) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0{};
+  service::DeadlineHeap<int> heap;
+  util::Xoshiro256 rng(7);
+  std::vector<std::pair<long, int>> pushed;  // (deadline tick, push index)
+  for (int i = 0; i < 500; ++i) {
+    const long tick = static_cast<long>(rng.uniform(37));  // many ties
+    heap.push(t0 + std::chrono::microseconds(tick), i);
+    pushed.emplace_back(tick, i);
+    if (i % 7 == 3) {  // interleave pops with pushes
+      const auto min = std::min_element(pushed.begin(), pushed.end());
+      ASSERT_EQ(heap.top(), min->second);
+      ASSERT_EQ(heap.pop(), min->second);
+      pushed.erase(min);
+    }
+  }
+  std::sort(pushed.begin(), pushed.end());
+  ASSERT_EQ(heap.size(), pushed.size());
+  for (const auto& [tick, index] : pushed) {
+    ASSERT_FALSE(heap.empty());
+    EXPECT_EQ(heap.pop(), index) << "tick " << tick;
+  }
+  EXPECT_TRUE(heap.empty());
 }
 
 TEST(ServiceMetrics, QuantilesReportGeometricBucketMidpoints) {
@@ -455,7 +660,7 @@ TEST_F(ServiceEngineTest, ForcedScalarBackendModelMatchesPackedModel) {
             hdc::kernels::SimdLevel::kScalarWords);
   // Note: same seed → same codebooks as model_, so ground truth transfers.
   service::FactorizationEngine engine(
-      scalar_model, {.max_batch = 8, .max_delay_us = 200});
+      scalar_model, {.max_batch = 8});
   run_differential(engine);
 }
 

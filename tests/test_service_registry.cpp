@@ -66,7 +66,7 @@ TEST_F(ServiceRegistryTest, LoadedModelServesThroughTheEngine) {
   service::ModelRegistry registry;
   auto model = registry.load_file("m", path_);
   service::FactorizationEngine engine(model,
-                                      {.max_batch = 4, .max_delay_us = 100});
+                                      {.max_batch = 4});
   util::Xoshiro256 rng(6);
   const tax::Object obj =
       tax::random_object(model->books().taxonomy(), rng);

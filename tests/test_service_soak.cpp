@@ -46,7 +46,6 @@ TEST_F(ServiceSoak, ProducersPollerAndDrainInvariants) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 150;
   service::FactorizationEngine engine(model_, {.max_batch = 16,
-                                               .max_delay_us = 200,
                                                .queue_capacity = 64,
                                                .dispatchers = 2,
                                                .cache_capacity = 32});
@@ -109,7 +108,6 @@ TEST_F(ServiceSoak, RejectModeUnderConcurrentLoad) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 100;
   service::FactorizationEngine engine(model_, {.max_batch = 4,
-                                               .max_delay_us = 100,
                                                .queue_capacity = 8,
                                                .reject_when_full = true,
                                                .cache_capacity = 0});

@@ -10,7 +10,7 @@
 //   model load NAME PATH                     load a model file (taxonomy/io)
 //   model save NAME PATH                     persist a model to a file
 //   model list                               registered model names
-//   serve NAME [MAX_BATCH [MAX_DELAY_US]]    start serving a model
+//   serve NAME [MAX_BATCH]                   start serving a model
 //   reshard NAME SHARDS                      rebuild NAME with a SHARDS-way
 //                                            scatter-gather partition (1 =
 //                                            unshard) and hot-swap it —
@@ -44,9 +44,9 @@
 //
 // Service defaults come from the FACTORHD_SERVE_* env knobs (see
 // util::env_knobs); observability from FACTORHD_TRACE_SAMPLE /
-// FACTORHD_TRACE_RING / FACTORHD_SLOW_QUERY_US; `serve` arguments override
-// the batching knobs. Exit status 0 on clean shutdown, 1 on a malformed
-// invocation.
+// FACTORHD_TRACE_RING / FACTORHD_SLOW_QUERY_US; the `serve` argument
+// overrides FACTORHD_SERVE_MAX_BATCH. Exit status 0 on clean shutdown, 1 on
+// a malformed invocation.
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -90,8 +90,6 @@ bool stop_listener(ServerState& st) {
 service::ServiceOptions env_service_options() {
   service::ServiceOptions opts;
   opts.max_batch = util::env_size_t("FACTORHD_SERVE_MAX_BATCH", 64, 1, 4096);
-  opts.max_delay_us =
-      util::env_size_t("FACTORHD_SERVE_MAX_DELAY_US", 200, 0, 1000000);
   opts.queue_capacity =
       util::env_size_t("FACTORHD_SERVE_QUEUE_CAP", 1024, 1, 1 << 20);
   opts.cache_capacity =
@@ -194,16 +192,13 @@ void cmd_model(ServerState& st, const std::vector<std::string>& args,
 
 void cmd_serve(ServerState& st, const std::vector<std::string>& args,
                std::ostream& os) {
-  if (args.empty() || args.size() > 3) {
-    throw std::invalid_argument("usage: serve NAME [MAX_BATCH [MAX_DELAY_US]]");
+  if (args.empty() || args.size() > 2) {
+    throw std::invalid_argument("usage: serve NAME [MAX_BATCH]");
   }
   auto m = st.registry.get(args[0]);
   if (!m) throw std::invalid_argument("unknown model " + args[0]);
   service::ServiceOptions opts = env_service_options();
-  if (args.size() >= 2) opts.max_batch = parse_size(args[1], "MAX_BATCH");
-  if (args.size() >= 3) {
-    opts.max_delay_us = parse_size(args[2], "MAX_DELAY_US");
-  }
+  if (args.size() == 2) opts.max_batch = parse_size(args[1], "MAX_BATCH");
   // Construct (and validate) the replacement before draining the current
   // engine, so a bad `serve` command leaves the running session intact.
   auto fresh = std::make_unique<service::FactorizationEngine>(m, opts);
@@ -212,7 +207,6 @@ void cmd_serve(ServerState& st, const std::vector<std::string>& args,
   st.model = m;
   st.engine = std::move(fresh);
   os << "ok serving " << m->name() << " (max_batch=" << opts.max_batch
-     << ", max_delay_us=" << opts.max_delay_us
      << ", cache=" << opts.cache_capacity
      << ", shards=" << m->factorizer().shards()
      << ", dispatchers=" << st.engine->options().dispatchers << ")"

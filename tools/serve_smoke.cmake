@@ -4,7 +4,7 @@
 # D=2048 keeps the 2-object roundtrip reliably exact (the D the CLI demo
 # uses); smaller dims fail statistically, not through any serving bug.
 set(script "model gen demo 3 8,4 2048 7
-serve demo 8 100
+serve demo 8
 listen 0
 roundtrip 2
 burst 12 1
